@@ -23,13 +23,13 @@ Tracks the hot paths this repo's performance work targets:
   engine must macro-step through the located switch instants with
   zero refusals.
 * **fleet** — a 50-device :class:`~repro.sim.world.World` of
-  staggered pollers on the global min-horizon scheduler; wall-clock
-  for 10 simulated minutes plus a speedup estimate from a
-  tick-by-tick slice.
-* **fleet_1k_staggered** — the event-time-bucketed independent
-  scheduler's headline: 1000 pollers with *randomized* poll phases
-  (no comb of coinciding wakes), best-of-3 us/device-second plus the
-  frontier-round and stacked-vs-scalar cohort span counts.
+  staggered pollers; wall-clock for 10 simulated minutes plus a
+  speedup estimate from a tick-by-tick slice run through the
+  per-device oracle loop.
+* **fleet_1k_staggered** — the event-time frontier's headline: 1000
+  pollers with *randomized* poll phases (no comb of coinciding
+  wakes), best-of-3 us/device-second plus the frontier-round and
+  stacked-vs-scalar cohort span counts.
 
 Run from the repo root (writes ``BENCH_core.json`` next to this
 checkout's ROADMAP)::
@@ -52,8 +52,11 @@ import time
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_REPO_ROOT, "src")
-if _SRC not in sys.path:  # allow `python benchmarks/run_bench.py`
-    sys.path.insert(0, _SRC)
+# Allow `python benchmarks/run_bench.py`: the package lives under src/
+# and the per-device oracle the baselines run under tests/.
+for _path in (_REPO_ROOT, _SRC):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from repro.core import segkernel                      # noqa: E402
 from repro.core.graph import ResourceGraph            # noqa: E402
@@ -65,6 +68,7 @@ from repro.sim.workload import (fleet_of_pollers,     # noqa: E402
                                 periodic_poller, poller_shard,
                                 staggered_poller_shard)
 from repro.sim.world import World                     # noqa: E402
+from tests.sim.world_oracle import run_per_device     # noqa: E402
 
 BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_core.json")
 
@@ -87,13 +91,8 @@ FLEET_SCALING_DEVICES = (50, 200, 1000)
 FLEET_1K_SIM_S = 600.0
 FLEET_SCALING_RECORD_S = 5.0
 #: The staggered headline point: randomized poll phases (no two
-#: devices share a wake schedule), forced independent scheduler.
+#: devices share a wake schedule).
 FLEET_1K_STAGGERED_DEVICES = 1000
-#: us/device-second measured on the lockstep-era independent loop
-#: (one device advanced per frontier pop) right before the bucketed
-#: cohort scheduler landed — the fixed reference the entry's
-#: ``speedup_vs_pre_cohort`` field is computed against.
-FLEET_1K_STAGGERED_PRE_COHORT_US = 31.62
 #: Shard-count sensitivity sweep (0 = inline, no processes).
 FLEET_SHARD_COUNTS = (0, 2, 4)
 FLEET_SHARD_DEVICES = 200
@@ -384,8 +383,7 @@ BATCH_SWITCH_SIM_S = 600.0
 BATCH_SWITCH_TICK_SLICE_S = 60.0
 
 
-def build_switching_fleet(fast_forward: bool,
-                          batched: bool = True) -> World:
+def build_switching_fleet(fast_forward: bool) -> World:
     """A one-cohort fleet where *every* span is switch-bound.
 
     Each device carries the two switch classes (a task reserve whose
@@ -394,8 +392,7 @@ def build_switching_fleet(fast_forward: bool,
     switch instants never coincide — the batched segment chain must
     advance every device to its *own* next switch.
     """
-    world = World(tick_s=TICK_S, seed=11, fast_forward=fast_forward,
-                  batched=batched)
+    world = World(tick_s=TICK_S, seed=11, fast_forward=fast_forward)
     for i in range(BATCH_SWITCH_DEVICES):
         device = world.add_device(name=f"sw{i}", record_interval_s=5.0,
                                   decay_enabled=False)
@@ -432,9 +429,9 @@ def run_batched_switching() -> dict:
         if wall < fast_wall:
             fast_wall, world = wall, candidate
 
-    # The scalar segmented reference: same fleet, cohorts disabled.
-    scalar = build_switching_fleet(True, batched=False)
-    scalar.run(BATCH_SWITCH_SIM_S)
+    # The scalar segmented reference: same fleet, one device at a time.
+    scalar = build_switching_fleet(True)
+    run_per_device(scalar, BATCH_SWITCH_SIM_S)
     worst_rel = 0.0
     for fast_dev, ref_dev in zip(world.devices, scalar.devices):
         for rf, rs in zip(fast_dev.graph.reserves, ref_dev.graph.reserves):
@@ -445,7 +442,7 @@ def run_batched_switching() -> dict:
     for _ in range(3):
         tick_world = build_switching_fleet(False)
         start = time.perf_counter()
-        tick_world.run(BATCH_SWITCH_TICK_SLICE_S)
+        run_per_device(tick_world, BATCH_SWITCH_TICK_SLICE_S)
         slice_wall = min(slice_wall, time.perf_counter() - start)
     speedup = ((slice_wall / BATCH_SWITCH_TICK_SLICE_S)
                / (fast_wall / BATCH_SWITCH_SIM_S))
@@ -500,7 +497,7 @@ def run_fleet() -> dict:
     for _ in range(3):
         tick_world = build_fleet(False)
         start = time.perf_counter()
-        tick_world.run(FLEET_TICK_SLICE_S)
+        run_per_device(tick_world, FLEET_TICK_SLICE_S)
         slice_wall = min(slice_wall,
                          time.perf_counter() - start)
     # Wall-clock per simulated second, extrapolated from the slice.
@@ -533,12 +530,13 @@ def _scaling_builder(devices: int):
 def run_fleet_scaling() -> dict:
     """The scaling curve: wall cost per device-second vs fleet size.
 
-    All points run in-process (shards=0) on the *independent*
-    scheduler — each device macro-steps on its own horizon between
-    clock barriers — so per-device cost is flat in fleet size by
-    construction; the floor asserts it stays flat (a staggered
-    1000-device fleet under the lockstep loop pays O(fleet events)
-    iterations per device and lands an order of magnitude higher).
+    All points run in-process (shards=0) on the event-time frontier
+    — each device macro-steps on its own horizon between clock
+    barriers — so per-device cost is flat in fleet size by
+    construction; the floor asserts it stays flat (a scheduler that
+    advanced the fleet to every fleet-wide event would pay O(fleet
+    events) iterations per device and land an order of magnitude
+    higher).
     """
     points = []
     for devices in FLEET_SCALING_DEVICES:
@@ -553,7 +551,7 @@ def run_fleet_scaling() -> dict:
             fleet = ShardedWorld(_scaling_builder(devices), devices,
                                  shards=0, tick_s=TICK_S, seed=7,
                                  fast_forward=True)
-            candidate = fleet.run(FLEET_1K_SIM_S, independent=True)
+            candidate = fleet.run(FLEET_1K_SIM_S)
             if report is None or candidate.wall_s < report.wall_s:
                 report = candidate
         device_seconds = devices * FLEET_1K_SIM_S
@@ -571,14 +569,14 @@ def run_fleet_scaling() -> dict:
         })
     return {
         "record_interval_s": FLEET_SCALING_RECORD_S,
-        "scheduler": "independent",
+        "scheduler": "frontier",
         "points": points,
     }
 
 
 def build_staggered_fleet(devices: int,
                           fast_forward: bool = True) -> World:
-    """Randomized poll phases — the honest independent workload."""
+    """Randomized poll phases — the honest frontier workload."""
     world = World(tick_s=TICK_S, seed=7, fast_forward=fast_forward)
     staggered_poller_shard(world, 0, devices, watts=0.02,
                            period_s=300.0, bytes_out=64,
@@ -590,13 +588,13 @@ def build_staggered_fleet(devices: int,
 def run_fleet_1k_staggered(devices: int = FLEET_1K_STAGGERED_DEVICES,
                            sim_s: float = FLEET_1K_SIM_S,
                            repeats: int = 3) -> dict:
-    """The bucketed cohort scheduler's headline: staggered 1k fleet.
+    """The event-time frontier's headline: staggered 1k fleet.
 
     :func:`run_fleet_scaling` staggers poll starts evenly, which
     keeps a comb of coinciding wakes; here every phase is drawn
     uniformly in ``[0, period_s)``, so devices only share a frontier
     bucket when their horizons genuinely coincide — the workload the
-    event-time-bucketed independent scheduler exists for.  Best-of-
+    event-time-bucketed frontier exists for.  Best-of-
     ``repeats`` wall (the minimum is the measurement least polluted
     by a shared runner's scheduler noise), with the frontier-round
     and stacked-vs-scalar span counts that prove the cohort path, not
@@ -607,7 +605,7 @@ def run_fleet_1k_staggered(devices: int = FLEET_1K_STAGGERED_DEVICES,
     for _ in range(repeats):
         candidate = build_staggered_fleet(devices)
         start = time.perf_counter()
-        candidate.run(sim_s, independent=True)
+        candidate.run(sim_s)
         wall = time.perf_counter() - start
         if wall < best_wall:
             best_wall, world = wall, candidate
@@ -616,12 +614,9 @@ def run_fleet_1k_staggered(devices: int = FLEET_1K_STAGGERED_DEVICES,
         "devices": devices,
         "simulated_s": sim_s,
         "record_interval_s": FLEET_SCALING_RECORD_S,
-        "scheduler": "independent",
+        "scheduler": "frontier",
         "wall_s": round(best_wall, 3),
         "us_per_device_second": round(us_per_device_second, 3),
-        "pre_cohort_us_per_device_second": FLEET_1K_STAGGERED_PRE_COHORT_US,
-        "speedup_vs_pre_cohort": round(
-            FLEET_1K_STAGGERED_PRE_COHORT_US / us_per_device_second, 2),
         "independent_rounds": world.barrier_rounds,
         "independent_cohort_spans": world.independent_cohort_spans,
         "independent_scalar_spans": world.independent_scalar_spans,
@@ -662,8 +657,7 @@ def run_fleet_socketed(devices: int = FLEET_1K_STAGGERED_DEVICES,
                                  shards=FLEET_SOCKET_SHARDS,
                                  tick_s=TICK_S, seed=7,
                                  fast_forward=True, **transport_kwargs)
-            report = fleet.run(sim_s, barrier_s=barrier_s,
-                               independent=True)
+            report = fleet.run(sim_s, barrier_s=barrier_s)
             if best is None or report.wall_s < best.wall_s:
                 best = report
         return best
@@ -704,7 +698,7 @@ def run_fleet_shards() -> dict:
     for shards in FLEET_SHARD_COUNTS:
         fleet = ShardedWorld(builder, FLEET_SHARD_DEVICES, shards=shards,
                              tick_s=TICK_S, seed=7, fast_forward=True)
-        report = fleet.run(FLEET_SHARD_SIM_S, independent=True)
+        report = fleet.run(FLEET_SHARD_SIM_S)
         sweep.append({
             "shards": shards,
             "wall_s": round(report.wall_s, 3),
@@ -748,7 +742,7 @@ def run_checkpoint_overhead() -> dict:
     pickle_ok = None
     for barrier in range(barriers):
         start = time.perf_counter()
-        world.run(barrier_s, independent=True)
+        world.run(barrier_s)
         run_wall += time.perf_counter() - start
         start = time.perf_counter()
         ckpt = ckpt_mod.capture(world, barrier + 1,

@@ -1,4 +1,4 @@
-"""Quick-mode smoke for the bucketed-cohort independent scheduler.
+"""Quick-mode smoke for the event-time frontier scheduler.
 
 The full ``fleet_1k_staggered`` bench runs 1000 randomized-phase
 pollers for 600 simulated seconds; this is the PR-gating slice — a
@@ -37,14 +37,14 @@ def _build() -> World:
 def test_staggered_smoke_floors():
     world = _build()
     start = time.perf_counter()
-    world.run(SMOKE_SIM_S, independent=True)
+    world.run(SMOKE_SIM_S)
     wall = time.perf_counter() - start
 
     assert wall < SMOKE_WALL_LIMIT_S, (
         f"staggered smoke fleet took {wall:.2f}s "
         f"(limit {SMOKE_WALL_LIMIT_S}s)")
     assert world.barrier_rounds > 0, (
-        "the independent scheduler must count its frontier rounds")
+        "the frontier must count its rounds")
     assert world.independent_cohort_spans > 0, (
         "randomized phases must still form stacked cohort spans")
     assert (world.independent_cohort_spans

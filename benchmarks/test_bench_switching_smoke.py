@@ -21,6 +21,7 @@ import pytest
 from repro.core.tap import TapType
 from repro.sim.engine import CinderSystem
 from repro.sim.world import World
+from tests.sim.world_oracle import run_per_device
 
 SMOKE_SIM_S = 600.0
 SMOKE_TICK_SLICE_S = 60.0
@@ -101,9 +102,8 @@ BATCH_SMOKE_DEVICES = 8
 BATCH_SMOKE_SIM_S = 300.0
 
 
-def _build_cohort(batched: bool) -> World:
-    world = World(tick_s=0.01, seed=17, fast_forward=True,
-                  batched=batched)
+def _build_cohort() -> World:
+    world = World(tick_s=0.01, seed=17, fast_forward=True)
     for i in range(BATCH_SMOKE_DEVICES):
         device = world.add_device(name=f"sw{i}", record_interval_s=5.0,
                                   decay_enabled=False)
@@ -122,7 +122,7 @@ def _build_cohort(batched: bool) -> World:
 def test_batched_switching_smoke():
     """The stacked segment chain carries a staggered switch-bound
     cohort: zero demotions, zero refusals, ulp parity vs scalar."""
-    world = _build_cohort(True)
+    world = _build_cohort()
     world.run(BATCH_SMOKE_SIM_S)
     assert world.cohort_demotions == 0, (
         "the stacked chain demoted switch-bound devices it must carry")
@@ -132,8 +132,8 @@ def test_batched_switching_smoke():
     assert sum(d.graph.span_switches for d in world.devices) \
         >= BATCH_SMOKE_DEVICES
 
-    scalar = _build_cohort(False)
-    scalar.run(BATCH_SMOKE_SIM_S)
+    scalar = _build_cohort()
+    run_per_device(scalar, BATCH_SMOKE_SIM_S)
     for fast_dev, ref_dev in zip(world.devices, scalar.devices):
         for rf, rs in zip(fast_dev.graph.reserves,
                           ref_dev.graph.reserves):

@@ -6,9 +6,10 @@ netd, metered battery — running a background poller billed to a 20 mW
 tap.  The tap is far too small to prepay the radio's ~11.9 J
 power-up bill, so every poll blocks in netd's §5.5.2 pooled path for
 minutes of simulated time.  The :class:`~repro.sim.world.World`
-scheduler fast-forwards pooled waits, sleeps and radio timeouts in
-closed form — cohort-batched across the fleet, with every event
-still landing on its exact tick — and
+advances every device on its own horizon through one event-time
+frontier: pooled waits, sleeps and radio timeouts fast-forward in
+closed form — cohort-batched across devices whose landings coincide,
+with every event still landing on its exact tick — and
 :class:`~repro.sim.shards.ShardedWorld` partitions the same fleet
 across worker processes that synchronize on clock barriers.
 
@@ -16,9 +17,10 @@ Run with::
 
     python examples/fleet.py [devices] [duration_seconds] [shards]
 
-``shards`` 0 (default) runs in-process with the cohort-batched
-lockstep scheduler; ``shards`` >= 1 runs that many single-worker
-process shards on the independent (barrier) scheduler.
+``shards`` 0 (default) runs the fleet in this process; ``shards``
+>= 1 runs that many single-worker process shards, each advancing its
+slice on the same frontier.  The duration must be a whole number of
+10 ms ticks.
 """
 
 import functools
@@ -76,12 +78,13 @@ def main() -> None:
     print(f"\nFLEET ({devices} devices, shared remote hosts)")
     print(f"  wall clock        : {wall:.2f} s "
           f"({duration_s * devices / max(wall, 1e-9):.0f} device-seconds/s)")
-    print(f"  world iterations  : {world.macro_steps} macro-steps, "
-          f"{world.tick_steps} tick rounds")
+    print(f"  frontier          : {world.barrier_rounds} rounds, "
+          f"{world.macro_steps} device spans, "
+          f"{world.tick_steps} device steps")
     print(f"  cohort batching   : {world.cohort_spans} stacked spans, "
           f"{world.cohort_ticks} stacked ticks, "
           f"{world.cohort_fallbacks} fallbacks")
-    print(f"  horizon cache     : {world.horizon_cache_hits} hits / "
+    print(f"  poll-skip cache   : {world.horizon_cache_hits} skips / "
           f"{world.horizon_polls} polls")
     print(f"  ticks skipped     : {world.fast_forwarded_ticks} "
           f"across the fleet")

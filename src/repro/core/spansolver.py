@@ -755,8 +755,8 @@ class SpanTier:
         those deposits ahead of the drain by creation order.
 
         ``span`` may be a scalar (the whole stack shares one horizon)
-        or a ``(d,)`` vector of per-row spans (the independent
-        scheduler's heterogeneous-horizon cohorts); the bound is
+        or a ``(d,)`` vector of per-row spans (the fleet frontier's
+        heterogeneous-horizon cohorts); the bound is
         evaluated at each row's own span either way, bit-identically —
         a vector of equal spans multiplies out to the exact same
         products as the shared scalar.
@@ -1759,9 +1759,9 @@ def execute_span_batch(tiers: List[SpanTier],
     run the same decay constant (the fleet batcher groups by both), so
     the continuous dynamics ``L' = A·L + b`` are literally the same
     system over different initial conditions.  ``span`` is either one
-    shared horizon (the lockstep scheduler) or a ``(n_devices,)``
-    vector of **per-device** horizons (the independent scheduler's
-    event-time buckets): devices at different clocks still share one
+    shared horizon or a ``(n_devices,)`` vector of **per-device**
+    horizons (the fleet frontier's event-time buckets): devices at
+    different clocks still share one
     eigendecomposition and one stacked switch-location scan, because
     every propagation formula is elementwise in ``t`` — only the
     dense Padé fallback keys a propagator per span value and solves

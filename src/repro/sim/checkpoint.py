@@ -172,8 +172,7 @@ def capture(world: World, barrier: int,
 
 
 def rebuild_replay(builder: Callable, lo: int, hi: int,
-                   world_kwargs: Dict, chunks: Sequence[float],
-                   independent: Optional[bool]) -> World:
+                   world_kwargs: Dict, chunks: Sequence[float]) -> World:
     """Reconstruct a shard slice and deterministically re-run it.
 
     The authoritative recovery: the same picklable builder over the
@@ -185,14 +184,13 @@ def rebuild_replay(builder: Callable, lo: int, hi: int,
     world = World(**world_kwargs)
     builder(world, lo, hi)
     for chunk in chunks:
-        world.run(chunk, independent=independent)
+        world.run(chunk)
     return world
 
 
 def restore(checkpoint: Optional[Checkpoint], *, builder: Callable,
             lo: int, hi: int, world_kwargs: Dict,
-            chunks: Sequence[float],
-            independent: Optional[bool]) -> World:
+            chunks: Sequence[float]) -> World:
     """Recover a shard's world from its last barrier checkpoint.
 
     The degradation order the docs contract specifies: unpickle the
@@ -210,8 +208,7 @@ def restore(checkpoint: Optional[Checkpoint], *, builder: Callable,
         except CheckpointError:
             pass  # fall through to rebuild-and-replay
     replay = chunks if checkpoint is None else chunks[:checkpoint.barrier]
-    world = rebuild_replay(builder, lo, hi, world_kwargs, replay,
-                           independent)
+    world = rebuild_replay(builder, lo, hi, world_kwargs, replay)
     if checkpoint is not None:
         rebuilt = world_digest(world)
         if rebuilt != checkpoint.digest:

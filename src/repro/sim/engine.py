@@ -150,7 +150,7 @@ class DeviceRuntime:
         self.span_refusals = 0
         self._span_refusing = False
         #: Telemetry: spans this device solved inside a stacked cohort
-        #: call on a world's *independent* (frontier) scheduler.
+        #: call on a world's event-time frontier.
         #: Incremented by :meth:`repro.sim.world.World._run_independent`
         #: — the engine itself never batches; the counter lives here so
         #: sharded digests can carry it per device.
@@ -414,19 +414,20 @@ class DeviceRuntime:
 
         ``firm`` reports whether the bounding event instant is exact
         and time-invariant (see :attr:`~repro.sim.events.EventSource.
-        horizon_firm`): a fleet scheduler may then cache the absolute
-        target tick across world iterations instead of re-polling
-        this device.  ``executes`` reports whether landing on that
+        horizon_firm`).  ``executes`` reports whether landing on that
         instant requires a normal step or merely closes a
         constant-power span (:attr:`~repro.sim.events.EventSource.
-        horizon_executes`).  A 0 answer (must tick) is always firm —
-        it has to be re-examined after the very next step anyway.
+        horizon_executes`).  Landing on a firm, executing instant, a
+        fresh poll is known to answer "tick now", so the fleet
+        frontier skips that re-poll.  A 0 answer (must tick) is always
+        firm — it has to be re-examined after the very next step
+        anyway.
 
         The poll itself never mutates device state, so a scheduler
-        that polls once and acts later (the frontier scheduler parks
-        the answer in a heap) sees exactly what an act-immediately
-        loop like :meth:`run` would — provided the device is untouched
-        in between.
+        that polls once and acts later (the fleet frontier files the
+        answer under its landing instant) sees exactly what an
+        act-immediately loop like :meth:`run` would — provided the
+        device is untouched in between.
         """
         if not self.fast_forward:
             return 0, True, True

@@ -110,7 +110,7 @@ def _dispatch(msg: dict, slots: Dict[int, _Slot],
         if world is None:
             raise TransportError(f"slot {msg['slot']} has no world")
         begin = time.perf_counter()
-        world.run(msg["chunk_s"], independent=msg["independent"])
+        world.run(msg["chunk_s"])
         ckpt = None
         if msg["want_checkpoint"]:
             ckpt = _checkpoint.capture(
@@ -127,7 +127,7 @@ def _dispatch(msg: dict, slots: Dict[int, _Slot],
         slot.world = _checkpoint.restore(
             msg["ckpt"], builder=msg["builder"], lo=msg["lo"],
             hi=msg["hi"], world_kwargs=msg["world_kwargs"],
-            chunks=msg["chunks"], independent=msg["independent"])
+            chunks=msg["chunks"])
         slot.pickle_ok = None
         return slot.world.now
     if verb == "finish":

@@ -83,6 +83,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _wait_exits
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (HostUnreachable, ShardFailure, ShardTimeout,
@@ -122,7 +123,7 @@ class DeviceDigest:
     reserve_levels: List[float]
     conservation_error: float
     #: Spans this device solved inside a stacked cohort call on the
-    #: independent (frontier) scheduler.  Excluded from equality (and
+    #: world's event-time frontier.  Excluded from equality (and
     #: from :meth:`FleetReport.digest`): cohort membership depends on
     #: which devices share a shard, so the count is partition-
     #: *dependent* telemetry on a partition-*invariant* trajectory.
@@ -143,8 +144,7 @@ class ShardReport:
     cohort_spans: int
     cohort_fallbacks: int
     #: Frontier rounds and stacked-vs-scalar span counts from this
-    #: shard's independent scheduler (zero under lockstep or the
-    #: legacy per-device loop).
+    #: shard's world.
     independent_rounds: int = 0
     independent_cohort_spans: int = 0
     independent_scalar_spans: int = 0
@@ -247,12 +247,12 @@ class FleetReport:
 
     @property
     def independent_cohort_spans(self) -> int:
-        """Stacked independent-path span solves summed across shards."""
+        """Stacked frontier span solves summed across shards."""
         return sum(r.independent_cohort_spans for r in self.reports)
 
     @property
     def independent_scalar_spans(self) -> int:
-        """Scalar independent-path span solves summed across shards."""
+        """Scalar frontier span solves summed across shards."""
         return sum(r.independent_scalar_spans for r in self.reports)
 
     def total_metered_energy(self) -> float:
@@ -307,8 +307,7 @@ def _shard_build(builder: Callable, lo: int, hi: int,
     return len(_SHARD_WORLD.devices)
 
 
-def _shard_run(chunk_s: float, independent: Optional[bool],
-               barrier: int, want_checkpoint: bool,
+def _shard_run(chunk_s: float, barrier: int, want_checkpoint: bool,
                fault=None) -> Tuple[float, float, Optional[object]]:
     """Worker-side: advance this shard to the next barrier.
 
@@ -322,7 +321,7 @@ def _shard_run(chunk_s: float, independent: Optional[bool],
     assert _SHARD_WORLD is not None
     apply_runtime_fault(fault)
     begin = time.perf_counter()
-    _SHARD_WORLD.run(chunk_s, independent=independent)
+    _SHARD_WORLD.run(chunk_s)
     ckpt = None
     if want_checkpoint:
         ckpt = _checkpoint.capture(_SHARD_WORLD, barrier + 1,
@@ -336,13 +335,12 @@ def _shard_run(chunk_s: float, independent: Optional[bool],
 
 
 def _shard_restore(ckpt, builder: Callable, lo: int, hi: int,
-                   world_kwargs: Dict, chunks: Sequence[float],
-                   independent: Optional[bool]) -> float:
+                   world_kwargs: Dict, chunks: Sequence[float]) -> float:
     """Worker-side: reload the last barrier state after a respawn."""
     global _SHARD_WORLD, _SHARD_PICKLE_OK
     _SHARD_WORLD = _checkpoint.restore(
         ckpt, builder=builder, lo=lo, hi=hi, world_kwargs=world_kwargs,
-        chunks=chunks, independent=independent)
+        chunks=chunks)
     _SHARD_PICKLE_OK = None
     return _SHARD_WORLD.now
 
@@ -422,9 +420,9 @@ class ShardedWorld:
     :func:`repro.sim.workload.poller_shard`) and must key every
     device off its *global* index so partitioning is invisible to the
     simulation.  ``world_kwargs`` are forwarded to each shard's
-    :class:`~repro.sim.world.World` (tick, seed, fast-forward,
-    batching); every shard gets identical values, which keeps
-    index-derived seeds partition-independent.
+    :class:`~repro.sim.world.World` (tick, seed, fast-forward);
+    every shard gets identical values, which keeps index-derived
+    seeds partition-independent.
 
     Supervision knobs:
 
@@ -528,33 +526,36 @@ class ShardedWorld:
 
     def run(self, duration_s: float,
             barrier_s: Optional[float] = None,
-            independent: Optional[bool] = True) -> FleetReport:
+            independent: Optional[bool] = None) -> FleetReport:
         """Advance the fleet; returns the aggregated digests.
 
         A fresh run builds fresh shards (each invocation is one
         experiment).  With processes, shard worlds advance in
         parallel between barriers; inline (``shards=0``) the same
         partitions run sequentially in this process — the
-        differential oracle.  ``independent`` selects each shard
-        world's scheduler (see :meth:`repro.sim.world.World.run`);
-        it defaults to the independent scheduler here because that is
-        what makes a device's trajectory *partition-invariant* down
-        to the bit: under lockstep, shard membership changes where
-        the global min-horizon lands, which perturbs span boundaries
-        (events stay identical, levels move within the solver
-        tolerance).
+        differential oracle.  Every shard world advances on the
+        event-time frontier (:meth:`repro.sim.world.World.run`), where
+        each device steps on its own horizon between barriers, so a
+        device's trajectory is *partition-invariant* down to the bit:
+        shard membership changes only which devices share a stacked
+        call, never where any device's spans begin or end.
+        ``independent`` is accepted for callers written against the
+        retired lockstep scheduler: ``None`` and ``True`` are the
+        same, and ``False`` raises.
         """
+        if independent is False:
+            raise SimulationError(
+                "the lockstep scheduler was retired; shard worlds "
+                "advance on the event-time frontier")
         if duration_s < 0:
             raise SimulationError("duration must be non-negative")
         start = time.perf_counter()
         if self.shards == 0:
-            report = self._run_inline(duration_s, barrier_s, independent)
+            report = self._run_inline(duration_s, barrier_s)
         elif self.transport == "sockets":
-            report = self._run_sockets(duration_s, barrier_s,
-                                       independent)
+            report = self._run_sockets(duration_s, barrier_s)
         else:
-            report = self._run_processes(duration_s, barrier_s,
-                                         independent)
+            report = self._run_processes(duration_s, barrier_s)
         report.wall_s = time.perf_counter() - start
         return report
 
@@ -577,13 +578,12 @@ class ShardedWorld:
         return chunks
 
     def _run_inline(self, duration_s: float,
-                    barrier_s: Optional[float],
-                    independent: Optional[bool]) -> FleetReport:
+                    barrier_s: Optional[float]) -> FleetReport:
         world = World(**self.world_kwargs)
         self.builder(world, 0, self.count)
         self._inline = world
         for chunk in self._chunks(duration_s, barrier_s):
-            world.run(chunk, independent=independent)
+            world.run(chunk)
         report = _world_report(world, 0, 0, self.count, 0.0)
         return FleetReport(devices=self.count, shards=0,
                            simulated_s=duration_s, wall_s=0.0,
@@ -598,13 +598,23 @@ class ShardedWorld:
         """Terminate a (possibly hung or broken) single-worker pool.
 
         ``shutdown`` alone would wait on a hung task forever; the
-        worker processes are terminated first, then joined within
+        worker processes are terminated first, then awaited within
         ``drain_timeout_s``, so no worker leaks past the run.
         Returns the number of workers that ignored SIGTERM and had to
         be force-killed (counted in
         :attr:`FleetReport.forced_terminations`).
+
+        Exit is read from each worker's sentinel, never from
+        ``is_alive()``: the executor's manager thread reaps the same
+        workers concurrently, and the ``waitpid`` that loses that race
+        fails with ``ECHILD``, which ``is_alive()`` reports as still
+        running — a healthy teardown then counted as forced.  For the
+        same reason the manager thread is awaited last: a worker it
+        reaped has no recorded exit status until that thread runs
+        again, and until then the worker still counts as a live child.
         """
         processes = list(getattr(pool, "_processes", {}).values())
+        manager = getattr(pool, "_executor_manager_thread", None)
         for proc in processes:
             try:
                 proc.terminate()
@@ -616,11 +626,13 @@ class ShardedWorld:
             pass
         forced = 0
         for proc in processes:
-            proc.join(timeout=drain_timeout_s)
-            if proc.is_alive():  # pragma: no cover - terminate ignored
+            exited = _wait_exits([proc.sentinel], drain_timeout_s)
+            if not exited:  # pragma: no cover - terminate ignored
                 forced += 1
                 proc.kill()
-                proc.join(timeout=drain_timeout_s)
+            proc.join(timeout=drain_timeout_s)
+        if manager is not None:
+            manager.join(timeout=drain_timeout_s)
         return forced
 
     def _backoff_s(self, attempt: int) -> float:
@@ -663,8 +675,7 @@ class ShardedWorld:
         return self.barrier_timeout_s * (barriers + 1)
 
     def _demote_inline(self, state: _Shard, chunks: Sequence[float],
-                       through: int, independent: Optional[bool],
-                       walls: List[float],
+                       through: int, walls: List[float],
                        telemetry: Dict[str, int]) -> None:
         """Graceful degradation: run the slice in the parent from now on.
 
@@ -682,12 +693,11 @@ class ShardedWorld:
             state.pool = None
         state.inline_world = _checkpoint.rebuild_replay(
             self.builder, state.lo, state.hi, self.world_kwargs,
-            chunks[:through + 1], independent)
+            chunks[:through + 1])
         walls[state.index] += time.perf_counter() - begin
 
     def _await_barrier(self, state: _Shard, k: int, chunk: float,
-                       chunks: Sequence[float],
-                       independent: Optional[bool], want_ckpt: bool,
+                       chunks: Sequence[float], want_ckpt: bool,
                        walls: List[float],
                        failures: Dict[int, List[str]],
                        telemetry: Dict[str, int]) -> None:
@@ -707,12 +717,11 @@ class ShardedWorld:
                     restore = state.pool.submit(
                         _shard_restore, state.ckpt, self.builder,
                         state.lo, state.hi, self.world_kwargs,
-                        list(chunks[:k]), independent)
+                        list(chunks[:k]))
                     restore.result(
                         timeout=self._restore_timeout(state.ckpt, k))
                     future = state.pool.submit(
-                        _shard_run, chunk, independent, k, want_ckpt,
-                        None)
+                        _shard_run, chunk, k, want_ckpt, None)
                     need_restore = False
                     recovered = True
                 _, wall, ckpt = future.result(
@@ -737,8 +746,8 @@ class ShardedWorld:
                     attempt=attempt, cause=self._failure_cause(exc),
                     rung=rung))
                 if attempt > self.max_shard_retries:
-                    self._demote_inline(state, chunks, k, independent,
-                                        walls, telemetry)
+                    self._demote_inline(state, chunks, k, walls,
+                                        telemetry)
                     telemetry.setdefault("degraded", []).append(
                         state.index)
                     return
@@ -797,8 +806,7 @@ class ShardedWorld:
                     f"shard [{state.lo}, {state.hi})")
 
     def _run_processes(self, duration_s: float,
-                       barrier_s: Optional[float],
-                       independent: Optional[bool]) -> FleetReport:
+                       barrier_s: Optional[float]) -> FleetReport:
         chunks = self._chunks(duration_s, barrier_s)
         ranges = self.partitions()
         states = [_Shard(s, lo, hi)
@@ -827,8 +835,7 @@ class ShardedWorld:
                                        kinds=RUNTIME_KINDS)
                              if plan is not None else None)
                     state.future = state.pool.submit(
-                        _shard_run, chunk, independent, k, want_ckpt,
-                        fault)
+                        _shard_run, chunk, k, want_ckpt, fault)
                     pending.append(state)
                 # Demoted slices advance in the parent while the
                 # worker shards run their chunk in parallel.
@@ -836,13 +843,12 @@ class ShardedWorld:
                     if state.inline_world is None:
                         continue
                     begin = time.perf_counter()
-                    state.inline_world.run(chunk,
-                                           independent=independent)
+                    state.inline_world.run(chunk)
                     walls[state.index] += time.perf_counter() - begin
                 for state in pending:
                     self._await_barrier(state, k, chunk, chunks,
-                                        independent, want_ckpt, walls,
-                                        failures, telemetry)
+                                        want_ckpt, walls, failures,
+                                        telemetry)
             reports = []
             for state in states:
                 if state.inline_world is not None:
@@ -865,7 +871,7 @@ class ShardedWorld:
                         phase="finish", attempt=1,
                         cause=self._failure_cause(exc), rung="inline"))
                     self._demote_inline(state, chunks, len(chunks) - 1,
-                                        independent, walls, telemetry)
+                                        walls, telemetry)
                     telemetry.setdefault("degraded", []).append(
                         state.index)
                     reports.append(_world_report(
@@ -918,20 +924,18 @@ class ShardedWorld:
         telemetry["placement"][state.index] = host.host_id
 
     def _socket_restore(self, state: _SocketShard, k: int,
-                        chunks: Sequence[float],
-                        independent: Optional[bool]) -> None:
+                        chunks: Sequence[float]) -> None:
         """Reload the shard's last barrier state into its current slot."""
         state.client.call(
             "restore", timeout_s=self._restore_timeout(state.ckpt, k),
             probe=state.host.probe, probe_interval_s=self.heartbeat_s,
             ckpt=state.ckpt, builder=self.builder, lo=state.lo,
             hi=state.hi, world_kwargs=self.world_kwargs,
-            chunks=list(chunks[:k]), independent=independent)
+            chunks=list(chunks[:k]))
 
     def _socket_demote(self, state: _SocketShard,
                        chunks: Sequence[float], through: int,
-                       independent: Optional[bool], walls: List[float],
-                       telemetry: Dict) -> None:
+                       walls: List[float], telemetry: Dict) -> None:
         """The ladder's last rung: the slice runs in the parent."""
         begin = time.perf_counter()
         if state.client is not None:
@@ -940,7 +944,7 @@ class ShardedWorld:
         state.host = None
         state.inline_world = _checkpoint.rebuild_replay(
             self.builder, state.lo, state.hi, self.world_kwargs,
-            chunks[:through + 1], independent)
+            chunks[:through + 1])
         telemetry.setdefault("degraded", []).append(state.index)
         walls[state.index] += time.perf_counter() - begin
 
@@ -952,12 +956,12 @@ class ShardedWorld:
                 f"{state.host.host_id} lost ({cause})")
 
     def _submit_socket_run(self, state: _SocketShard, k: int,
-                           chunk: float, independent: Optional[bool],
-                           want_ckpt: bool, fault=None) -> None:
+                           chunk: float, want_ckpt: bool,
+                           fault=None) -> None:
         try:
             state.client.begin(
-                "run", chunk_s=chunk, independent=independent,
-                barrier=k, want_checkpoint=want_ckpt, fault=fault)
+                "run", chunk_s=chunk, barrier=k,
+                want_checkpoint=want_ckpt, fault=fault)
             state.submitted = True
             state.submit_exc = None
         except Exception as exc:
@@ -967,7 +971,6 @@ class ShardedWorld:
     def _await_socket_barrier(self, state: _SocketShard, hosts: List,
                               k: int, chunk: float,
                               chunks: Sequence[float],
-                              independent: Optional[bool],
                               want_ckpt: bool, walls: List[float],
                               failures: Dict[int, List[str]],
                               telemetry: Dict) -> None:
@@ -1018,8 +1021,8 @@ class ShardedWorld:
                     telemetry["events"].append(RecoveryEvent(
                         shard=state.index, barrier=k, phase="barrier",
                         attempt=attempt, cause=cause, rung="inline"))
-                    self._socket_demote(state, chunks, k, independent,
-                                        walls, telemetry)
+                    self._socket_demote(state, chunks, k, walls,
+                                        telemetry)
                     return
                 if moved:
                     telemetry["shard_reschedules"] += 1
@@ -1035,18 +1038,16 @@ class ShardedWorld:
                     # Always restore before re-running: a drop_msg
                     # means the chunk already ran once — re-running
                     # without rewinding would diverge.
-                    self._socket_restore(state, k, chunks, independent)
+                    self._socket_restore(state, k, chunks)
                     state.client.begin(
-                        "run", chunk_s=chunk, independent=independent,
-                        barrier=k, want_checkpoint=want_ckpt,
-                        fault=None)
+                        "run", chunk_s=chunk, barrier=k,
+                        want_checkpoint=want_ckpt, fault=None)
                     recovered = True
                 except Exception as recovery_exc:
                     pending_exc = recovery_exc
 
     def _build_socket_shards(self, states: List[_SocketShard],
                              hosts: List, chunks: Sequence[float],
-                             independent: Optional[bool],
                              walls: List[float],
                              failures: Dict[int, List[str]],
                              telemetry: Dict) -> None:
@@ -1109,8 +1110,7 @@ class ShardedWorld:
                             shard=state.index, barrier=-1,
                             phase="build", attempt=attempt,
                             cause=cause, rung="inline"))
-                        self._socket_demote(state, chunks, -1,
-                                            independent, walls,
+                        self._socket_demote(state, chunks, -1, walls,
                                             telemetry)
                         break
                     if moved:
@@ -1141,8 +1141,7 @@ class ShardedWorld:
                     f"shard [{state.lo}, {state.hi})")
 
     def _run_sockets(self, duration_s: float,
-                     barrier_s: Optional[float],
-                     independent: Optional[bool]) -> FleetReport:
+                     barrier_s: Optional[float]) -> FleetReport:
         from . import hostd  # deferred: hostd imports this module
         chunks = self._chunks(duration_s, barrier_s)
         ranges = self.partitions()
@@ -1169,9 +1168,8 @@ class ShardedWorld:
             for state in states:
                 self._socket_place(state, hosts[state.index % n_hosts],
                                    telemetry)
-            self._build_socket_shards(states, hosts, chunks,
-                                      independent, walls, failures,
-                                      telemetry)
+            self._build_socket_shards(states, hosts, chunks, walls,
+                                      failures, telemetry)
             for k, chunk in enumerate(chunks):
                 want_ckpt = self.checkpoint and k + 1 < len(chunks)
                 pending = []
@@ -1191,21 +1189,19 @@ class ShardedWorld:
                             f"(injected)")
                         state.host.partition()
                         fault = None
-                    self._submit_socket_run(state, k, chunk,
-                                            independent, want_ckpt,
+                    self._submit_socket_run(state, k, chunk, want_ckpt,
                                             fault)
                     pending.append(state)
                 for state in states:
                     if state.inline_world is None:
                         continue
                     begin = time.perf_counter()
-                    state.inline_world.run(chunk,
-                                           independent=independent)
+                    state.inline_world.run(chunk)
                     walls[state.index] += time.perf_counter() - begin
                 for state in pending:
                     self._await_socket_barrier(
-                        state, hosts, k, chunk, chunks, independent,
-                        want_ckpt, walls, failures, telemetry)
+                        state, hosts, k, chunk, chunks, want_ckpt, walls,
+                        failures, telemetry)
             reports = []
             for state in states:
                 if state.inline_world is not None:
@@ -1230,8 +1226,8 @@ class ShardedWorld:
                         host=(state.host.host_id
                               if state.host is not None else None)))
                     self._socket_demote(state, chunks,
-                                        len(chunks) - 1, independent,
-                                        walls, telemetry)
+                                        len(chunks) - 1, walls,
+                                        telemetry)
                     reports.append(_world_report(
                         state.inline_world, state.index, state.lo,
                         state.hi, walls[state.index]))

@@ -162,7 +162,7 @@ def staggered_poller_shard(
     name_prefix: str = "dev",
     **device_kwargs,
 ) -> List[Tuple["CinderSystem", Process]]:
-    """Pollers with *randomized* phases — the honest independent case.
+    """Pollers with *randomized* phases — the honest frontier case.
 
     :func:`poller_shard` staggers starts evenly, which keeps the
     fleet's wakes on a regular comb; a real deployment's poll phases
@@ -172,7 +172,7 @@ def staggered_poller_shard(
     for :class:`~repro.sim.shards.ShardedWorld` builders, picklable
     via :func:`functools.partial`).  No two devices share a wake
     schedule unless their horizons genuinely coincide — the workload
-    the event-time-bucketed independent scheduler
+    the event-time frontier
     (:meth:`~repro.sim.world.World._run_independent`) has to prove
     itself on, and the ``fleet_1k_staggered`` bench entry's builder.
     """
@@ -209,8 +209,8 @@ def fleet_of_pollers(
     reserve and one :func:`periodic_poller` billed to it.  Start
     offsets are staggered (``stagger_s`` apart; default spreads one
     period evenly across the fleet) so the fleet's radio activity
-    interleaves instead of synchronizing — the worst case for a
-    global min-horizon scheduler and therefore the honest one to
+    interleaves instead of synchronizing — fewer coinciding landings
+    for the frontier to stack, and therefore the honest case to
     benchmark.  Returns ``(device, process)`` pairs.  This is
     :func:`poller_shard` over the whole index range; pass the same
     keywords to :class:`~repro.sim.shards.ShardedWorld` builders to

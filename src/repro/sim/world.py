@@ -1,63 +1,45 @@
 """Worlds: many Cinder devices on one shared clock.
 
-The production question the ROADMAP asks — millions of users, fleets
-of simulated handsets — needs more than one :class:`DeviceRuntime`
-per experiment.  A :class:`World` runs N devices on a shared time
-grid:
+The production question the ROADMAP asks — fleets of simulated
+handsets — needs more than one :class:`DeviceRuntime` per experiment.
+A :class:`World` runs N devices on a shared time grid:
 
 * every device is constructed on the world's ``tick_s`` and (by
   default) the world's shared :class:`~repro.net.remote.RemoteHosts`,
   so all devices talk to the same synthetic server universe;
-* per iteration the world asks every device for its fast-forward
-  horizon and advances all of them by the **global minimum** — the
-  same min-over-sources discipline each device already applies to its
-  own event sources, lifted one level up.  A device whose closed form
-  refuses a span (a state-dependent refusal: mid-span clamp, capacity
-  pressure, debt) ticks through it instead, so the fleet never skips
-  an event and never desynchronizes;
-* devices stay tick-aligned by construction: every iteration moves
-  every device by the same whole number of ticks.
-
-At fleet scale the naive loop pays full per-device Python overhead
-every iteration, so the default scheduler is **cohort-batched**
-(``batched=True``):
-
-* the **horizon tier** keeps a struct-of-arrays cache of each
-  device's absolute next-event tick.  Firm horizons (timer deadlines,
-  sleeper wakes, radio timeouts, exact pooled-crossing ticks — see
-  :attr:`~repro.sim.events.EventSource.horizon_firm`) are reused
-  across iterations and the global minimum is one numpy reduction;
-  soft horizons (conservative checkpoints) are re-polled.  Cached
-  firm targets are exactly what a fresh poll would return, so the
-  batched world takes the *same* macro/tick decisions as the
-  reference loop;
-* the **cohort tier** groups devices whose compiled
-  :class:`~repro.core.flowplan.FlowPlan` signatures match (same live
-  topology, same frozen-tap set, same decay constant) and stacks
-  their graph work: one ``(n_devices, n_reserves)`` kernel call per
-  tick round (:func:`repro.core.flowplan.execute_tick_batch`) and one
-  stacked span solve per macro-step
+* devices share no state but that stateless universe, so between
+  shared **clock barriers** (every ``barrier_s``, default the whole
+  duration) each device advances *on its own horizon* — the same
+  poll, macro-step-or-tick decomposition
+  :meth:`~repro.sim.engine.CinderSystem.run` applies to one device —
+  and the fleet re-synchronizes at every barrier;
+* one run loop, the **event-time frontier**
+  (:meth:`World._run_independent`), executes that decomposition for
+  the whole fleet at once: devices are filed by the instant their
+  next action lands, and each round advances the earliest bucket of
+  coinciding landings together, their graph work stacked per cohort
+  — devices whose compiled :class:`~repro.core.flowplan.FlowPlan`
+  signatures match (same live topology, same frozen-tap set, same
+  decay constant): one stacked span solve
   (:func:`repro.core.spansolver.execute_span_batch`), which reuses a
-  single eigendecomposition across the cohort on coupled topologies.
-  A device whose topology diverges — or whose span the solver refuses
-  — falls out of the cohort to the per-device path for that
-  iteration, counted in :attr:`cohort_fallbacks`;
-* devices may run on **different tick grids**: the world aligns them
-  on the least common multiple of their tick periods and advances
-  mixed-grid fleets barrier-to-barrier (each device runs its own
-  macro-step loop up to the shared barrier instant, which lies on
-  every device's grid by construction).
+  single eigendecomposition across the cohort on coupled
+  topologies, one stacked tick kernel call
+  (:func:`repro.core.flowplan.execute_tick_batch`) and one batched
+  meter feed.  A device whose shape the stacked call cannot carry
+  retries alone (:attr:`World.cohort_fallbacks`);
+* devices may run on **different tick grids**: barrier instants must
+  lie on every device's grid, so every duration and barrier is
+  validated against the least common multiple of the tick periods
+  (:meth:`World.barrier_period`).
 
-``batched=False`` keeps the plain PR-2 loop as the reference
-scheduler; ``fast_forward=False`` disables macro-stepping entirely
-(the tick-slicing baseline).  Process-level sharding — partitions of
-a fleet macro-stepping in parallel worker processes between clock
+The frontier is a pure reordering across devices: every device
+executes the same sequence of polls, span commits and steps as its own
+``device.run(chunk)`` loop, which the parity suite keeps as the oracle.
+A one-device world is therefore sample-for-sample identical to running
+the bare :class:`~repro.sim.engine.CinderSystem`.  ``fast_forward=False``
+disables macro-stepping entirely.  Process-level sharding — partitions
+of a fleet advancing in parallel worker processes between clock
 barriers — lives in :mod:`repro.sim.shards` on top of this class.
-
-A one-device world is *sample-for-sample identical* to running the
-bare :class:`~repro.sim.engine.CinderSystem` — the world loop is the
-same decomposition ``run`` uses internally (the differential tests
-pin this).
 """
 
 from __future__ import annotations
@@ -82,8 +64,6 @@ class World:
     def __init__(self, tick_s: float = 0.01,
                  hosts: Optional[RemoteHosts] = None,
                  fast_forward: bool = True,
-                 batched: bool = True,
-                 independent_cohorts: bool = True,
                  seed: int = 0) -> None:
         if tick_s <= 0:
             raise SimulationError("tick must be positive")
@@ -91,63 +71,40 @@ class World:
         #: The shared remote-server universe every device talks to.
         self.hosts = hosts if hosts is not None else RemoteHosts.default()
         self.fast_forward = fast_forward
-        #: Cohort-batched scheduling (horizon cache + stacked graph
-        #: work).  The reference per-device loop survives at
-        #: ``batched=False`` as the differential oracle.
-        self.batched = batched and fast_forward
-        #: Event-time-bucketed cohort scheduling on the *independent*
-        #: path (see :meth:`_run_independent`).  The plain per-device
-        #: ``device.run(chunk)`` loop survives at
-        #: ``independent_cohorts=False`` as the differential oracle,
-        #: and is also selected whenever the batched tier is off.
-        self.independent_cohorts = independent_cohorts and self.batched
         self.seed = seed
         self.devices: List[DeviceRuntime] = []
         self._by_name: Dict[str, DeviceRuntime] = {}
-        #: Telemetry: world iterations that macro-stepped vs ticked.
+        #: Telemetry: device actions the frontier executed — one per
+        #: committed device span and one per device step.
         self.macro_steps = 0
         self.tick_steps = 0
-        #: Telemetry: rounds taken by the independent scheduler.  With
-        #: the bucketed scheduler this counts *actual frontier
-        #: iterations* — each pop-the-frontier-bucket-and-advance
-        #: round is one — so refusals and staggered horizons show up
-        #: as extra rounds.  The legacy per-device loop
-        #: (``independent_cohorts=False``) cannot observe its devices'
-        #: internal iterations and still counts one round per barrier
-        #: chunk (the historical approximation this counter had
-        #: fleet-wide before the frontier scheduler).
+        #: Telemetry: frontier rounds.  Each pop-the-frontier-bucket-
+        #: and-advance iteration is one, so refusals and staggered
+        #: horizons show up as extra rounds.
         self.barrier_rounds = 0
-        #: Telemetry, independent path only: device-spans solved
-        #: through a stacked cohort call vs scalar (a singleton
-        #: bucket/cohort, or a stacked drop-out whose scalar retry
-        #: still macro-stepped).
+        #: Telemetry: device-spans solved through a stacked cohort call
+        #: vs scalar (a singleton group, or a stacked drop-out whose
+        #: scalar retry still macro-stepped).
         self.independent_cohort_spans = 0
         self.independent_scalar_spans = 0
-        #: Telemetry: device-spans solved through a stacked cohort
-        #: call (switch-bound spans included — the batched segment
-        #: chain carries them in-batch), and devices that fell out of
-        #: a cohort to the per-device path (topology divergence, span
-        #: refusal, a genuinely unsupported shape, or a group too
-        #: small to batch).  A fallback whose scalar solve still
+        #: Telemetry: stacked ticks, and devices that fell out of a
+        #: stacked call to the per-device path (a shape the stacked
+        #: chain cannot carry, or a tick plan the batch kernel
+        #: refused).  A span fallback whose scalar solve still
         #: macro-stepped is additionally counted in
         #: :attr:`cohort_demotions`: the device left the stacked call
-        #: but did not degrade to ticking.  Demotions now count only
-        #: shapes the stacked chain cannot carry (residual-refusal
-        #: regimes the scalar path also refuses land in ticking, and
-        #: Padé-only propagators or failed batch certificates land
-        #: here), never plain switch-bound cohorts.
-        self.cohort_spans = 0
+        #: but did not degrade to ticking.  Switch-bound cohorts solve
+        #: inside the stacked segment chain and never demote; only
+        #: residual-refusal regimes, Padé-only propagators or failed
+        #: batch certificates land here.
         self.cohort_ticks = 0
         self.cohort_fallbacks = 0
         self.cohort_demotions = 0
-        #: Telemetry: horizon polls skipped thanks to a cached firm
-        #: target vs polls actually executed.
+        #: Telemetry: horizon polls the frontier skipped (a firm,
+        #: executing landing answers "tick now" without a poll) vs
+        #: polls actually executed.
         self.horizon_cache_hits = 0
         self.horizon_polls = 0
-        # -- horizon cache (struct-of-arrays, rebuilt per run) --
-        self._targets: Optional[np.ndarray] = None  # absolute tick; -1 stale
-        self._firm: Optional[np.ndarray] = None
-        self._executes: Optional[np.ndarray] = None
         # -- cohort signature interning --
         self._sig_tokens: Dict[tuple, int] = {}
         #: id(graph) -> (generation last seen, consecutive churn count);
@@ -181,8 +138,7 @@ class World:
         """Enroll an externally-assembled runtime (pluggable components).
 
         The runtime must not have ticked past the fleet — devices
-        advance in lockstep (or barrier-aligned, on mixed tick grids)
-        from the moment they join.
+        meet at every clock barrier from the moment they join.
         """
         if abs(runtime.clock.now - self.now) > 1e-12:
             raise SimulationError(
@@ -193,7 +149,6 @@ class World:
             raise SimulationError(f"duplicate device name {name!r}")
         self.devices.append(runtime)
         self._by_name[name] = runtime
-        self._targets = None  # horizon cache shape is stale
         return runtime
 
     def device(self, name: str) -> DeviceRuntime:
@@ -239,6 +194,12 @@ class World:
         """Switching-engine segments executed across the fleet."""
         return sum(d.span_segments for d in self.devices)
 
+    @property
+    def cohort_spans(self) -> int:
+        """Stacked span solves: :attr:`independent_cohort_spans` under
+        the name the shard reports and benches read."""
+        return self.independent_cohort_spans
+
     def uniform_grid(self) -> bool:
         """True iff every device shares the world's tick size."""
         return all(d.clock.tick_s == self.tick_s for d in self.devices)
@@ -248,10 +209,12 @@ class World:
 
         Barrier instants for mixed-grid fleets must lie on every
         device's grid; the LCM of the (rationalized) tick periods is
-        the finest such spacing.
+        the finest such spacing.  Every :meth:`run` validates against
+        it, so each distinct period is rationalized once, not once per
+        device.
         """
-        fractions = [Fraction(d.clock.tick_s).limit_denominator(10 ** 9)
-                     for d in self.devices]
+        fractions = [Fraction(tick_s).limit_denominator(10 ** 9)
+                     for tick_s in {d.clock.tick_s for d in self.devices}]
         num = 1
         den = 0  # gcd identity
         for fr in fractions:
@@ -259,88 +222,7 @@ class World:
             den = math.gcd(den, fr.denominator)
         return float(Fraction(num, den))
 
-    # -- the world loop -----------------------------------------------------------
-
-    def _advance_once(self, deadline: float) -> None:
-        """One reference iteration: global min-horizon or one tick each.
-
-        The PR-2 loop, kept verbatim as the differential oracle for
-        the batched scheduler (``batched=False`` selects it).
-        """
-        devices = self.devices
-        ticks = min(d._ff_horizon_ticks(deadline) for d in devices)
-        if ticks >= 2:
-            for device in devices:
-                if not device._ff_advance(ticks):
-                    # The device's closed form refused this span (e.g.
-                    # a clamping tap): tick it through the same ticks
-                    # so the fleet stays aligned.
-                    for _ in range(ticks):
-                        device.step()
-            self.macro_steps += 1
-        else:
-            for device in devices:
-                device.step()
-            self.tick_steps += 1
-
-    # -- the batched scheduler ------------------------------------------------------
-
-    def _reset_horizons(self) -> None:
-        n = len(self.devices)
-        if self._targets is None or len(self._targets) != n:
-            self._targets = np.empty(n, dtype=np.int64)
-            self._firm = np.zeros(n, dtype=bool)
-            self._executes = np.zeros(n, dtype=bool)
-        self._targets[:] = -1
-
-    def _advance_once_batched(self, deadline: float) -> None:
-        """One batched iteration: cached-horizon min, stacked advance."""
-        devices = self.devices
-        if self._targets is None or len(self._targets) != len(devices):
-            # A device adopted mid-run (e.g. from a run_until
-            # predicate) stales the cache shape; rebuild it.
-            self._reset_horizons()
-        targets = self._targets
-        firm = self._firm
-        executes = self._executes
-        base = devices[0].clock.ticks
-        for i, device in enumerate(devices):
-            t = targets[i]
-            if t >= 0 and firm[i] and (t - base >= 2 or executes[i]):
-                # A firm target is exactly what a fresh poll would
-                # report: beyond the amortization threshold it stays
-                # cached, and a *due* step-requiring event means a
-                # fresh poll would answer "tick now" — both resolved
-                # without touching the device's sources.  A due power
-                # boundary (e.g. the radio's ramp end) is the one case
-                # that must re-poll: the next span opens right there.
-                self.horizon_cache_hits += 1
-                if t - base < 2:
-                    targets[i] = base
-                continue
-            self.horizon_polls += 1
-            ticks_i, firm_i, executes_i = device._ff_poll(deadline)
-            if ticks_i == 0:
-                targets[i] = base  # must tick now
-                firm[i] = True
-            else:
-                targets[i] = base + ticks_i
-                firm[i] = firm_i
-                executes[i] = executes_i
-        k = int(targets.min()) - base
-        if k >= 2:
-            self._fleet_macro(k)
-            self.macro_steps += 1
-            # Soft targets at or before the landing tick must be
-            # re-derived; firm ones stay — the due-target shortcut
-            # above answers "tick now" for them without a poll.
-            landed = base + k
-            stale = (targets <= landed) & ~firm
-            targets[stale] = -1
-        else:
-            self._fleet_tick()
-            self.tick_steps += 1
-            targets[:] = -1
+    # -- cohort batching -----------------------------------------------------------
 
     def _cohort_token(self, plan) -> int:
         # The memo is world-qualified: tokens are interned per world,
@@ -353,77 +235,6 @@ class World:
         token = self._sig_tokens.setdefault(sig, len(self._sig_tokens))
         plan._cohort_token = (self, token)
         return token
-
-    def _fleet_macro(self, ticks: int) -> None:
-        """Advance every device ``ticks`` ticks, cohorts stacked.
-
-        Mirrors the reference iteration exactly: each device's
-        frozen-tap arbitration and span solve run with the same
-        semantics, only grouped — the graph span of a cohort executes
-        as one stacked call, then each member commits its non-graph
-        effects (source replays, meter feed, clock) per device.  Any
-        refusal ticks that device through the same span.
-        """
-        devices = self.devices
-        span = ticks * devices[0].clock.tick_s
-        groups: Dict[Tuple[int, float], List[Tuple[int, object]]] = {}
-        refused: List[int] = []
-        singles: List[Tuple[int, object]] = []
-        for i, device in enumerate(devices):
-            frozen = device._ff_begin()
-            if frozen is None:
-                refused.append(i)
-                continue
-            graph = device.graph
-            plan = graph.span_plan_handle(frozen)
-            policy = graph.decay_policy
-            lam = policy.lam if policy.enabled else 0.0
-            groups.setdefault((self._cohort_token(plan), lam),
-                              []).append((i, plan))
-        for members in groups.values():
-            if len(members) < 2:
-                singles.extend(members)
-                continue
-            tiers = [plan.span_tier for _, plan in members]
-            results = _spansolver.execute_span_batch(tiers, span)
-            for (i, plan), moved in zip(members, results):
-                device = devices[i]
-                if moved is None:
-                    # Switch-bound devices solve inside the stacked
-                    # call now (the batched segment chain), so a None
-                    # here is a genuine drop-out: a shape the chain
-                    # cannot carry (residual-refusal regime, Padé-only
-                    # propagator, failed certificate).  Demote it to
-                    # the scalar path, which may still macro-step it;
-                    # ticking remains the fallback for residual
-                    # refusals only.
-                    self.cohort_fallbacks += 1
-                    moved = plan.execute_span(span)
-                    if moved is None:
-                        device._ff_refuse()
-                        refused.append(i)
-                    else:
-                        self.cohort_demotions += 1
-                        plan.graph.note_span(span)
-                        device._ff_commit(ticks)
-                else:
-                    plan.graph.note_span(span)
-                    device._ff_commit(ticks)
-                    self.cohort_spans += 1
-        for i, plan in singles:
-            device = devices[i]
-            moved = plan.execute_span(span)
-            if moved is None:
-                device._ff_refuse()
-                refused.append(i)
-            else:
-                plan.graph.note_span(span)
-                device._ff_commit(ticks)
-        for i in refused:
-            device = devices[i]
-            for _ in range(ticks):
-                device.step()
-            self._targets[i] = -1
 
     def _tick_plan_for(self, device: DeviceRuntime):
         """The device's compiled tick plan, or None if not batchable.
@@ -454,24 +265,22 @@ class World:
             return None
         return graph._current_plan()
 
-    def _fleet_tick(self, indices: Optional[List[int]] = None) -> None:
-        """One tick for the given devices (default: all), cohorts stacked.
+    def _fleet_tick(self, indices: List[int]) -> None:
+        """One tick for the given devices, cohorts stacked.
 
-        The tick grid enters the cohort key (mixed-grid fleets reach
-        here through the independent scheduler's stepper buckets;
+        The tick grid enters the cohort key:
         :func:`~repro.core.flowplan.execute_tick_batch` takes one
-        shared ``dt``); on the lockstep path the grid is uniform, so
-        the extra key component is inert.
+        shared ``dt``, and devices on different grids can share a
+        frontier bucket.
         """
         devices = self.devices
-        idxs = range(len(devices)) if indices is None else indices
-        if len(idxs) < 2:
-            for i in idxs:
+        if len(indices) < 2:
+            for i in indices:
                 devices[i].step()
             return
         groups: Dict[Tuple[int, float, float],
                      List[Tuple[int, object]]] = {}
-        for i in idxs:
+        for i in indices:
             device = devices[i]
             plan = self._tick_plan_for(device)
             if plan is None:
@@ -493,10 +302,8 @@ class World:
                 else:
                     done[i] = True
                     self.cohort_ticks += 1
-        for i in idxs:
+        for i in indices:
             devices[i].step(graph_done=done.get(i, False))
-
-    # -- the independent (frontier) scheduler -----------------------------------------
 
     def _commit_cohort(self, commits: List[int],
                        pending: List[int]) -> None:
@@ -541,13 +348,16 @@ class World:
         for i, power in entries:
             devices[i]._ff_commit_finish(pending[i], power)
 
-    def _run_independent(self, chunk: float) -> None:
-        """Advance every device to the next barrier, cohorts stacked.
+    # -- the frontier -------------------------------------------------------------
 
-        The event-time-bucketed frontier scheduler.  Each device's
-        next action is decided by its *own* horizon poll — exactly the
-        poll ``device.run(chunk)`` would make — and the fleet keeps a
-        min-heap of the resulting landing instants:
+    def _run_independent(self, chunk: float) -> None:
+        """Advance every device by ``chunk`` to the next barrier.
+
+        The event-time frontier, and the world's only run loop.  Each
+        device's next action is decided by its *own* horizon poll —
+        exactly the poll ``device.run(chunk)`` would make — and the
+        fleet files each device under its landing instant, with a
+        min-heap over the distinct instants:
 
         * **poll** — one :meth:`~repro.sim.engine.CinderSystem._ff_poll`
           per device per action, against that device's own deadline
@@ -555,81 +365,83 @@ class World:
           A macro answer (``ticks >= 2``) lands the device at
           ``(clock.ticks + ticks) * tick_s``; a must-tick answer lands
           it one tick ahead.  The pending tick count is cached with
-          the heap entry — the device is untouched between push and
+          the filed entry — the device is untouched between push and
           pop (devices share no mutable state between barriers), so
           the cached answer is exactly what a fresh poll would return;
-        * **bucket** — each round pops every entry sharing the minimum
-          landing key.  Keys are quantized to integer nanoseconds
-          (``round(landing * 1e9)``) so mixed tick grids whose landing
-          instants agree physically but differ in float representation
-          still share a bucket.  Quantization only affects *grouping*:
+        * **bucket** — each round pops the bucket of the minimum
+          landing key, in device order.  Keys are quantized to integer
+          nanoseconds (``round(landing * 1e9)``) so mixed tick grids
+          whose landing instants agree physically but differ in float
+          representation still share a bucket.  Quantization only
+          affects *grouping*:
           the spans advanced come from each device's own tick count
           and tick size, never from the key;
         * **advance** — macro members are grouped by
-          ``(cohort_token, lam)`` exactly as :meth:`_fleet_macro` and
-          solved in one stacked
+          ``(cohort_token, lam)`` and solved in one stacked
           :func:`~repro.core.spansolver.execute_span_batch` call with
           a **per-device span vector** (devices at different clocks
           share one eigendecomposition and one switch-location scan).
           Singleton groups solve scalar.  A stacked drop-out retries
-          scalar (:attr:`cohort_fallbacks` / :attr:`cohort_demotions`,
-          same as lockstep).  A refusal — frozen-tap arbitration or a
-          genuinely unsupported regime — takes **one** normal step and
-          re-polls, mirroring ``device.run``'s refusal fallthrough
-          (the lockstep scheduler instead ticks a refused device
-          through the whole fleet span; the independent path never
-          did, and the frontier keeps that contract).  Must-tick
-          members batch through :meth:`_fleet_tick` when two or more
-          share a bucket;
-        * **re-poll** — after its action each device re-enters the
-          heap unless it has landed on the barrier
-          (``now >= deadline - 1e-12``).
+          scalar (:attr:`cohort_fallbacks` / :attr:`cohort_demotions`).
+          A refusal — frozen-tap arbitration or a genuinely
+          unsupported regime — takes **one** normal step and re-polls,
+          mirroring ``device.run``'s refusal fallthrough.  Must-tick
+          members batch through :meth:`_fleet_tick`;
+        * **re-poll** — after its action each device is filed again
+          unless it has landed on the barrier
+          (``now >= deadline - 1e-12``).  A device whose macro answer
+          was firm *and* executing lands on an instant where a fresh
+          poll provably answers "tick now"; that re-poll is skipped
+          (the poll is read-only, so skipping a determined answer is
+          invisible to the device) and counted in
+          :attr:`horizon_cache_hits`.
 
         Every device therefore executes the *same sequence* of polls,
         macro-commits and steps as the per-device loop — the frontier
         is a pure reordering across devices — which the parity suite
-        pins bit-identically.  :attr:`barrier_rounds` counts each
-        frontier round; :attr:`independent_cohort_spans` /
-        :attr:`independent_scalar_spans` split the macro-solve counts.
+        pins bit-identically.
         """
         devices = self.devices
         n = len(devices)
-        deadlines = [d.clock.now + chunk for d in devices]
+        clocks = [d.clock for d in devices]
+        deadlines = [c.now + chunk for c in clocks]
+        landed = [deadline - 1e-12 for deadline in deadlines]
         pending = [0] * n
-        #: Device's last macro poll was firm *and* executing: landing
-        #: on it, a fresh poll provably answers "tick now" (the same
-        #: shortcut the lockstep horizon cache takes), so the re-poll
-        #: after the commit is skipped — the poll is read-only, so
-        #: skipping a determined answer is invisible to the device.
         must_step = [False] * n
         skip_poll = [False] * n
-        heap: List[Tuple[int, int]] = []
-
-        def push(i: int) -> None:
-            device = devices[i]
-            clock = device.clock
-            if clock.now >= deadlines[i] - 1e-12:
-                return
-            if skip_poll[i]:
-                skip_poll[i] = False
-                ticks = 0
-                self.horizon_cache_hits += 1
-            else:
-                self.horizon_polls += 1
-                ticks, firm, executes = device._ff_poll(deadlines[i])
-                must_step[i] = ticks >= 2 and firm and executes
-            pending[i] = ticks
-            land = (clock.ticks + (ticks if ticks >= 2 else 1)) \
-                * clock.tick_s
-            heapq.heappush(heap, (round(land * 1e9), i))
-
-        for i in range(n):
-            push(i)
-        while heap:
-            key = heap[0][0]
-            bucket: List[int] = []
-            while heap and heap[0][0] == key:
-                bucket.append(heapq.heappop(heap)[1])
+        buckets: Dict[int, List[int]] = {}
+        keys: List[int] = []
+        polls = skips = 0
+        filing = range(n)
+        while True:
+            # File every device that just acted (at first: all) under
+            # the landing instant of its next action.
+            for i in filing:
+                clock = clocks[i]
+                if clock.now >= landed[i]:
+                    continue
+                if skip_poll[i]:
+                    skip_poll[i] = False
+                    ticks = 0
+                    skips += 1
+                else:
+                    polls += 1
+                    ticks, firm, executes = devices[i]._ff_poll(
+                        deadlines[i])
+                    must_step[i] = ticks >= 2 and firm and executes
+                pending[i] = ticks
+                key = round((clock.ticks + (ticks if ticks >= 2 else 1))
+                            * clock.tick_s * 1e9)
+                members = buckets.get(key)
+                if members is None:
+                    buckets[key] = [i]
+                    heapq.heappush(keys, key)
+                else:
+                    members.append(i)
+            if not keys:
+                break
+            bucket = buckets.pop(heapq.heappop(keys))
+            bucket.sort()
             self.barrier_rounds += 1
             refused: List[int] = []
             steppers: List[int] = []
@@ -677,10 +489,10 @@ class World:
                     else:
                         plan.graph.note_span(span_i)
                         commits.append(i)
-                        self.cohort_spans += 1
                         self.independent_cohort_spans += 1
                         device.independent_cohort_spans += 1
                 self._commit_cohort(commits, pending)
+                self.macro_steps += len(commits)
                 for i in commits:
                     skip_poll[i] = must_step[i]
             for i, plan in singles:
@@ -694,16 +506,15 @@ class World:
                     self.independent_scalar_spans += 1
                     plan.graph.note_span(span_i)
                     device._ff_commit(pending[i])
+                    self.macro_steps += 1
                     skip_poll[i] = must_step[i]
-            if len(steppers) >= 2:
-                self._fleet_tick(steppers)
-            else:
-                for i in steppers:
-                    devices[i].step()
+            self._fleet_tick(steppers)
             for i in refused:
                 devices[i].step()
-            for i in bucket:
-                push(i)
+            self.tick_steps += len(steppers) + len(refused)
+            filing = bucket
+        self.horizon_polls += polls
+        self.horizon_cache_hits += skips
 
     # -- running -------------------------------------------------------------------
 
@@ -711,98 +522,62 @@ class World:
             independent: Optional[bool] = None) -> None:
         """Advance the whole fleet by ``duration_s`` of simulated time.
 
-        Two schedulers:
+        Each device macro-steps *on its own horizon* to the next
+        shared clock barrier — every ``barrier_s``, default the whole
+        duration — where the fleet re-synchronizes
+        (:meth:`_run_independent`).  One device's events never force a
+        fleet-wide iteration, which is the difference between
+        O(N · fleet-events) and O(N + own-events) at 1000 devices of
+        staggered pollers, and devices whose landing instants coincide
+        still solve their spans in one stacked cohort call.
 
-        * **lockstep** (``independent=False``; the default on a
-          uniform tick grid) — the global min-horizon iteration,
-          cohort-batched when :attr:`batched`.  Best when the fleet's
-          events align (shared record cadences, synchronized
-          workloads): one iteration serves everyone.
-        * **independent** (``independent=True``; the default — and
-          only option — on mixed tick grids) — each device
-          macro-steps *on its own horizon* to the next shared clock
-          barrier (every ``barrier_s``, default the whole duration),
-          where the fleet re-synchronizes.  Devices are mutually
-          independent between barriers (they share no state but the
-          stateless remote-host universe), so per-device trajectories
-          are sample-identical to lockstep — but one device's events
-          no longer force a fleet-wide iteration, which is the
-          difference between O(N · fleet-events) and O(N + own-events)
-          at 1000 devices of staggered pollers.  With
-          :attr:`independent_cohorts` (the default) the independent
-          path runs the event-time-bucketed frontier scheduler
-          (:meth:`_run_independent`): devices whose landing instants
-          coincide solve their spans in one stacked cohort call, so
-          staggered fleets keep the batch tier.
-          ``independent_cohorts=False`` keeps the plain
-          ``device.run(chunk)`` loop as the differential oracle.
+        Devices must *land* exactly on each barrier, so the duration
+        and ``barrier_s`` must both be whole multiples of the fleet's
+        grid (:meth:`barrier_period`, the tick itself on a uniform
+        grid); anything else raises :class:`SimulationError`.
 
-        Barrier instants must land on every device's tick grid; the
-        fleet's LCM tick period (:meth:`barrier_period`) is the
-        finest admissible spacing.
+        ``independent`` is accepted for callers written against the
+        retired lockstep scheduler: ``None`` and ``True`` both select
+        the frontier, and ``False`` raises.
         """
+        if independent is False:
+            raise SimulationError(
+                "the lockstep scheduler was retired; every World "
+                "advances on the event-time frontier")
         if duration_s < 0:
             raise SimulationError("duration must be non-negative")
         if not self.devices:
             raise SimulationError("world has no devices")
-        if independent is None:
-            independent = not self.uniform_grid()
-        if not independent and not self.uniform_grid():
-            raise SimulationError(
-                "lockstep needs a uniform tick grid; mixed-grid fleets "
-                "advance independently between barriers")
-        period = duration_s if barrier_s is None else barrier_s
         if barrier_s is not None and barrier_s <= 0:
             raise SimulationError("barrier must be positive")
-        if independent:
-            # Independent devices must *land* exactly on each barrier
-            # or they desynchronize; lockstep fleets keep the
-            # single-device semantics (an off-grid deadline simply
-            # rounds up to the next whole tick for everyone at once).
-            grid = self.barrier_period()
-            if barrier_s is not None:
-                ratio = barrier_s / grid
-                if abs(ratio - round(ratio)) > 1e-9:
-                    raise SimulationError(
-                        f"barrier {barrier_s} s is not a multiple of the "
-                        f"fleet's grid ({grid} s)")
-            ratio = duration_s / grid
+        grid = self.barrier_period()
+        if barrier_s is not None:
+            ratio = barrier_s / grid
             if abs(ratio - round(ratio)) > 1e-9:
                 raise SimulationError(
-                    f"duration {duration_s} s does not land on the "
+                    f"barrier {barrier_s} s is not a multiple of the "
                     f"fleet's grid ({grid} s)")
+        ratio = duration_s / grid
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise SimulationError(
+                f"duration {duration_s} s does not land on the "
+                f"fleet's grid ({grid} s)")
+        period = duration_s if barrier_s is None else barrier_s
         end = self.now + duration_s
         while self.now < end - 1e-12:
-            chunk = min(period, end - self.now)
-            if independent:
-                if self.independent_cohorts:
-                    self._run_independent(chunk)
-                else:
-                    for device in self.devices:
-                        device.run(chunk)
-                    # The legacy loop cannot observe its devices'
-                    # internal iterations: one round per chunk (see
-                    # the counter's docstring for the frontier
-                    # scheduler's exact accounting).
-                    self.barrier_rounds += 1
-            else:
-                deadline = self.now + chunk
-                if self.batched:
-                    self._reset_horizons()
-                    while self.now < deadline - 1e-12:
-                        self._advance_once_batched(deadline)
-                else:
-                    while self.now < deadline - 1e-12:
-                        self._advance_once(deadline)
+            self._run_independent(min(period, end - self.now))
 
     def run_until(self, predicate: Callable[[], bool],
                   max_s: float = 36_000.0) -> float:
         """Run until ``predicate()`` or ``max_s``; returns elapsed time.
 
-        The predicate is checked after every world iteration — every
-        normal tick and every global event horizon.  Requires a
-        uniform tick grid (mixed-grid fleets only synchronize at
-        barriers, which would starve the predicate).
+        Each iteration moves the whole fleet through the frontier to
+        the next fleet event — the minimum of every device's horizon,
+        at least one tick — and then checks the predicate, so it is
+        checked after every normal tick and at every event horizon
+        anywhere in the fleet.  Requires a uniform tick grid
+        (mixed-grid fleets only synchronize at barriers, which would
+        starve the predicate).
         """
         if not self.devices:
             raise SimulationError("world has no devices")
@@ -812,16 +587,17 @@ class World:
                 "only observe shared state at barriers)")
         start = self.now
         deadline = start + max_s
-        if self.batched:
-            self._reset_horizons()
         while not predicate():
             if self.now - start >= max_s:
                 raise SimulationError(
                     f"run_until exceeded {max_s} simulated seconds")
-            if self.batched:
-                self._advance_once_batched(deadline)
-            else:
-                self._advance_once(deadline)
+            ticks = max(1, min(d._ff_horizon_ticks(deadline)
+                               for d in self.devices))
+            # The chunk ends on the landing tick's own instant, so
+            # every device's deadline is that instant (exactly, barring
+            # the last ulp) and nobody overshoots it.
+            self._run_independent(
+                (self.ticks + ticks) * self.tick_s - self.now)
         return self.now - start
 
     # -- checkpointing -----------------------------------------------------------

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -216,3 +219,43 @@ class TestSupervisionKnobs:
     def test_fleet_report_digest_orders_globally(self):
         report = _fleet(count=9, shards=3).run(60.0, barrier_s=30.0)
         assert [d.index for d in report.digests] == list(range(9))
+
+
+class TestPoolTeardown:
+    def test_healthy_teardowns_are_never_forced(self):
+        """Tearing down a pool races the executor's own manager
+        thread, which reaps the same worker: the ``waitpid`` that
+        loses gets ``ECHILD``.  A teardown that trusted ``is_alive()``
+        counted that healthy worker as one that outlived SIGTERM, and
+        one that returned before the manager thread recorded the exit
+        left the worker listed as a live child.  Many rounds of more
+        pools than cores, with shortened GIL switch intervals to
+        interleave the two threads, must force nothing and leave no
+        worker or manager thread behind any teardown."""
+        per_round = 2 * (os.cpu_count() or 1) + 2
+        forced = 0
+        unreaped = []
+        lingering = []
+        interval = sys.getswitchinterval()
+        try:
+            for round_ in range(16):
+                sys.setswitchinterval(1e-6 if round_ % 2 else 1e-3)
+                pools = []
+                for _ in range(per_round):
+                    pool = ProcessPoolExecutor(max_workers=1)
+                    pool.submit(int).result(timeout=30.0)
+                    pools.append(pool)
+                for pool in pools:
+                    workers = list(pool._processes.values())
+                    manager = pool._executor_manager_thread
+                    forced += ShardedWorld._kill_pool(
+                        pool, drain_timeout_s=10.0)
+                    unreaped += [w for w in workers if w.exitcode is None]
+                    if manager.is_alive():
+                        lingering.append(manager)
+        finally:
+            sys.setswitchinterval(interval)
+        assert forced == 0
+        assert not unreaped
+        assert not lingering
+        _assert_no_leaked_workers()

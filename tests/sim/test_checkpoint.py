@@ -135,14 +135,14 @@ class TestRestore:
     def _restore_kwargs(self, count, chunks):
         return dict(builder=poller_builder(count), lo=0, hi=count,
                     world_kwargs={"tick_s": 0.01, "seed": 5},
-                    chunks=chunks, independent=True)
+                    chunks=chunks)
 
     def test_replay_restore_is_bit_identical(self):
         chunks = [60.0, 60.0, 60.0]
         world = World(tick_s=0.01, seed=5)
         poller_builder(4)(world, 0, 4)
         for chunk in chunks[:2]:
-            world.run(chunk, independent=True)
+            world.run(chunk)
         ckpt = checkpoint.capture(world, barrier=2)
         assert ckpt.method == checkpoint.METHOD_REPLAY
 
@@ -150,8 +150,8 @@ class TestRestore:
                                      **self._restore_kwargs(4, chunks))
         assert checkpoint.world_digest(rebuilt) == ckpt.digest
         # ...and continues identically through the final chunk.
-        world.run(chunks[2], independent=True)
-        rebuilt.run(chunks[2], independent=True)
+        world.run(chunks[2])
+        rebuilt.run(chunks[2])
         assert_fleets_match(rebuilt, world)
 
     def test_restore_mid_service_call(self):
@@ -161,19 +161,19 @@ class TestRestore:
         chunks = [59.5, 59.5]
         world = World(tick_s=0.01, seed=5)
         poller_builder(4)(world, 0, 4)
-        world.run(chunks[0], independent=True)
+        world.run(chunks[0])
         ckpt = checkpoint.capture(world, barrier=1)
         rebuilt = checkpoint.restore(ckpt,
                                      **self._restore_kwargs(4, chunks))
-        world.run(chunks[1], independent=True)
-        rebuilt.run(chunks[1], independent=True)
+        world.run(chunks[1])
+        rebuilt.run(chunks[1])
         assert_fleets_match(rebuilt, world)
 
     def test_restore_rejects_corrupted_digest(self):
         chunks = [60.0, 60.0]
         world = World(tick_s=0.01, seed=5)
         poller_builder(3)(world, 0, 3)
-        world.run(chunks[0], independent=True)
+        world.run(chunks[0])
         ckpt = checkpoint.capture(world, barrier=1)
         bad = checkpoint.Checkpoint(
             barrier=ckpt.barrier, now=ckpt.now,
@@ -192,7 +192,7 @@ class TestRestore:
         reference = World(tick_s=0.01, seed=5)
         poller_builder(3)(reference, 0, 3)
         for chunk in chunks:
-            reference.run(chunk, independent=True)
+            reference.run(chunk)
         assert checkpoint.world_digest(rebuilt) == \
             checkpoint.world_digest(reference)
 
@@ -206,12 +206,12 @@ class TestRestore:
         chunks = [75.0, 75.0]
         world = World(tick_s=0.01, seed=seed)
         builder(world, 0, 6)
-        world.run(chunks[0], independent=True)
+        world.run(chunks[0])
         ckpt = checkpoint.capture(world, barrier=1)
         rebuilt = checkpoint.restore(
             ckpt, builder=builder, lo=0, hi=6,
             world_kwargs={"tick_s": 0.01, "seed": seed},
-            chunks=chunks, independent=True)
-        world.run(chunks[1], independent=True)
-        rebuilt.run(chunks[1], independent=True)
+            chunks=chunks)
+        world.run(chunks[1])
+        rebuilt.run(chunks[1])
         assert_fleets_match(rebuilt, world)

@@ -225,6 +225,37 @@ class TestWorld:
         assert elapsed == pytest.approx(200.02, abs=0.05)
         assert world.fast_forwarded_ticks > 0
 
+    def test_fleet_run_until_stops_at_first_fleet_event(self):
+        """Three nappers waking at different instants: the predicate
+        on the middle one holds first at its wake, and the fleet stops
+        there, on one tick, exactly where a solo run would."""
+        def napper(seconds):
+            def program(ctx):
+                yield Sleep(seconds)
+            return program
+
+        def enroll(system, seconds):
+            reserve = system.powered_reserve(0.2, name=f"n{seconds}")
+            return system.spawn(napper(seconds), f"n{seconds}",
+                                reserve=reserve)
+
+        world = World(tick_s=0.01, seed=4)
+        processes = {}
+        for seconds in (50.0, 120.0, 200.0):
+            device = world.add_device(record_interval_s=7.0)
+            processes[seconds] = enroll(device, seconds)
+        elapsed = world.run_until(lambda: processes[120.0].finished,
+                                  max_s=600.0)
+
+        solo = CinderSystem(seed=4, record_interval_s=7.0)
+        process = enroll(solo, 120.0)
+        assert elapsed == solo.run_until(lambda: process.finished,
+                                         max_s=600.0)
+        assert processes[50.0].finished
+        assert not processes[200.0].finished
+        assert all(d.clock.ticks == world.ticks for d in world.devices)
+        assert world.fast_forwarded_ticks > 0
+
     def test_misaligned_device_rejected(self):
         from repro.errors import SimulationError
         world = World(tick_s=0.01)

@@ -1,18 +1,16 @@
-"""Fleet-tier parity: batched/sharded Worlds vs the sequential oracle.
+"""Fleet-tier parity: frontier and sharded Worlds vs the oracles.
 
-The fleet scheduler has three acceleration layers — cached vectorized
-horizons, cohort-stacked graph solves, and independent (barrier)
-advance / process sharding — and every one of them must be
-*semantically invisible*.  These tests pin that on randomized
+The fleet tier has two acceleration layers — the event-time frontier
+with its cohort-stacked graph solves, and process sharding — and both
+must be *semantically invisible*.  These tests pin that on randomized
 heterogeneous fleets:
 
-* the cohort-batched lockstep world takes the same macro/tick
-  decisions as the PR-2 reference loop (``batched=False``) and
-  produces identical events (netd operations, radio activations,
-  bit-equal wait seconds and pool levels), identical meter sample
-  streams, and levels within the documented span-solver tolerance;
-* the independent scheduler (each device on its own horizon between
-  clock barriers) matches lockstep per device;
+* the frontier takes the same per-device poll/span/step decisions as
+  the per-device oracle (:mod:`tests.sim.world_oracle`) and produces
+  identical events (netd operations, radio activations, bit-equal
+  wait seconds and pool levels), identical meter sample streams, and
+  levels within the documented span-solver tolerance — bit-identical
+  on diagonal topologies;
 * a process-sharded fleet's digests are bit-identical to the same
   fleet built and run in one process;
 * mixed tick grids align on the LCM barrier grid and every device
@@ -33,6 +31,8 @@ from repro.sim.process import CpuBurn, Sleep
 from repro.sim.shards import ShardedWorld
 from repro.sim.workload import periodic_poller, poller_shard
 from repro.sim.world import World
+
+from .world_oracle import run_per_device
 
 
 def napper(period_s: float, burn_s: float):
@@ -106,12 +106,11 @@ def assert_fleets_match(fast: World, reference: World,
     """Events bit-equal; meters and levels within solver tolerance.
 
     ``exact_pool=False`` compares pool levels at last-ulp tolerance:
-    schedulers that split spans at different instants (independent vs
-    lockstep, different barrier spacings) round the diagonal solver's
-    ``level + rate * span`` differently per split, so a waiter's
-    contribution at a crossing can differ by one ulp even though every
-    event lands on the identical tick (the same span-boundary rounding
-    the shard-semantics docs note for lockstep shard membership).
+    runs that split spans at different instants (different barrier
+    spacings) round the diagonal solver's ``level + rate * span``
+    differently per split, so a waiter's contribution at a crossing
+    can differ by one ulp even though every event lands on the
+    identical tick.
     """
     assert len(fast.devices) == len(reference.devices)
     for a, b in zip(fast.devices, reference.devices):
@@ -136,43 +135,69 @@ def assert_fleets_match(fast: World, reference: World,
         assert abs(a.graph.conservation_error()) < 1e-8
 
 
-class TestBatchedWorldParity:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_cohort_batched_matches_reference_lockstep(self, seed):
-        fast = World(tick_s=0.01, seed=seed, batched=True)
+class TestFrontierParity:
+    """The event-time frontier vs the per-device oracle.
+
+    The frontier must be a pure reordering of each device's own
+    ``device.run(chunk)`` loop — same polls, same spans, same steps
+    per device — with only the stacked-vs-scalar solve path
+    differing, which the span kernels keep bit-identical per row on
+    diagonal topologies and within the documented tolerance on
+    coupled ones.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 11, 12, 13])
+    def test_frontier_matches_oracle(self, seed):
+        fast = World(tick_s=0.01, seed=seed)
         build_random_fleet(fast, seed)
-        reference = World(tick_s=0.01, seed=seed, batched=False)
+        reference = World(tick_s=0.01, seed=seed)
         build_random_fleet(reference, seed)
         fast.run(400.0)
-        reference.run(400.0)
+        run_per_device(reference, 400.0)
         assert_fleets_match(fast, reference)
-        # The batched scheduler must actually batch: every iteration's
-        # polls would otherwise equal devices * iterations.
+        # The scheduler must actually stack: the random fleet repeats
+        # device kinds, so same-shape devices share landing instants,
+        # and firm executing horizons must skip their re-poll.
         assert fast.cohort_spans > 0
+        assert fast.independent_cohort_spans > 0
         assert fast.horizon_cache_hits > 0
+        assert fast.barrier_rounds > 1
 
     @pytest.mark.parametrize("seed", [4, 5])
-    def test_independent_scheduler_matches_lockstep(self, seed):
-        lockstep = World(tick_s=0.01, seed=seed)
-        build_random_fleet(lockstep, seed)
-        independent = World(tick_s=0.01, seed=seed)
-        build_random_fleet(independent, seed)
-        lockstep.run(400.0, independent=False)
-        independent.run(400.0, independent=True)
-        assert_fleets_match(independent, lockstep, exact_pool=False)
-        # barrier_rounds counts actual frontier iterations now (one
-        # per popped bucket), not one per barrier chunk.
-        assert independent.barrier_rounds > 1
-        assert independent.independent_cohort_spans > 0
+    def test_frontier_with_barriers_matches_oracle(self, seed):
+        fast = World(tick_s=0.01, seed=seed)
+        build_random_fleet(fast, seed)
+        reference = World(tick_s=0.01, seed=seed)
+        build_random_fleet(reference, seed)
+        fast.run(400.0, barrier_s=100.0)
+        run_per_device(reference, 400.0, barrier_s=100.0)
+        assert_fleets_match(fast, reference)
+        # Frontier accounting: at least one round per barrier chunk.
+        assert fast.barrier_rounds > 4
+        assert fast.independent_cohort_spans > 0
+
+    def test_frontier_counts_device_actions(self):
+        """Every committed span is one macro-step, solved stacked or
+        scalar, and every device tick is either skipped inside a span
+        or taken as one step."""
+        world = World(tick_s=0.01, seed=8)
+        build_random_fleet(world, 8)
+        world.run(300.0, barrier_s=100.0)
+        assert world.macro_steps > 0
+        assert world.tick_steps > 0
+        assert world.macro_steps == (world.independent_cohort_spans
+                                     + world.independent_scalar_spans)
+        assert sum(d.clock.ticks for d in world.devices) == \
+            world.fast_forwarded_ticks + world.tick_steps
 
     def test_switching_cohort_stays_batched(self):
         """A homogeneous cohort whose members all hit a switching
-        state: the stacked kernel now carries them across the switch
+        state: the stacked kernel carries them across the switch
         itself (the batched segment chain), so nobody demotes to the
         scalar path and nobody degrades to ticking — matching the
-        reference loop within figure tolerance."""
-        def build(batched):
-            world = World(tick_s=0.01, seed=6, batched=batched)
+        oracle within figure tolerance."""
+        def build():
+            world = World(tick_s=0.01, seed=6)
             for i in range(4):
                 device = world.add_device(name=f"s{i}",
                                           record_interval_s=1.0,
@@ -188,23 +213,23 @@ class TestBatchedWorldParity:
                 device.spawn(napper(40.0, 0.02), "maint",
                              reserve=reserve)
             return world
-        fast = build(True)
-        reference = build(False)
+        fast = build()
+        reference = build()
         fast.run(300.0)       # every task clamps at 100 s
-        reference.run(300.0)
+        run_per_device(reference, 300.0)
         assert_fleets_match(fast, reference)
         assert fast.degraded_spans == 0
         assert fast.cohort_demotions == 0
         assert fast.cohort_spans > 0
         assert fast.span_segments > 0
 
-    def test_independent_with_barriers_matches_single_chunk(self):
+    def test_barriers_match_single_chunk(self):
         one = World(tick_s=0.01, seed=9)
         build_random_fleet(one, 9)
         many = World(tick_s=0.01, seed=9)
         build_random_fleet(many, 9)
-        one.run(300.0, independent=True)
-        many.run(300.0, barrier_s=50.0, independent=True)
+        one.run(300.0)
+        many.run(300.0, barrier_s=50.0)
         # Frontier accounting: at least one round per barrier chunk.
         # Extra barriers cannot *reduce* rounds (a barrier splits a
         # span into landings the single chunk may already have).
@@ -212,41 +237,12 @@ class TestBatchedWorldParity:
         assert many.barrier_rounds >= one.barrier_rounds
         assert_fleets_match(many, one, exact_pool=False)
 
-
-class TestFrontierSchedulerParity:
-    """The event-time-bucketed independent scheduler vs its oracle.
-
-    ``independent_cohorts=False`` preserves the plain per-device
-    ``device.run(chunk)`` loop; the frontier scheduler must be a pure
-    reordering of it — same polls, same spans, same steps per device
-    — with only the stacked-vs-scalar solve path differing, which the
-    span kernels keep bit-identical per row on diagonal topologies
-    and within the documented tolerance on coupled ones.
-    """
-
-    @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_bucketed_matches_per_device_loop(self, seed):
-        legacy = World(tick_s=0.01, seed=seed,
-                       independent_cohorts=False)
-        build_random_fleet(legacy, seed)
-        bucketed = World(tick_s=0.01, seed=seed)
-        build_random_fleet(bucketed, seed)
-        legacy.run(400.0, independent=True)
-        bucketed.run(400.0, independent=True)
-        assert_fleets_match(bucketed, legacy)
-        # The scheduler must actually stack: the random fleet repeats
-        # device kinds, so same-shape devices share landing instants.
-        assert bucketed.independent_cohort_spans > 0
-        assert bucketed.barrier_rounds > 1
-        assert legacy.barrier_rounds == 1  # legacy: one per chunk
-
     @pytest.mark.parametrize("seed", [21, 22])
     def test_staggered_pollers_bit_identical(self, seed):
         """Randomized poll phases, diagonal topologies: every field
         bit-equal — the strongest form of the reordering claim."""
-        def build(independent_cohorts):
-            world = World(tick_s=0.01, seed=seed,
-                          independent_cohorts=independent_cohorts)
+        def build():
+            world = World(tick_s=0.01, seed=seed)
             rng = random.Random(seed * 977)
             for i in range(12):
                 device = world.add_device(name=f"p{i}",
@@ -260,11 +256,11 @@ class TestFrontierSchedulerParity:
                         bytes_out=64, bytes_in=0),
                     "poller", reserve=reserve)
             return world
-        legacy = build(False)
-        bucketed = build(True)
-        legacy.run(600.0, barrier_s=300.0, independent=True)
-        bucketed.run(600.0, barrier_s=300.0, independent=True)
-        for a, b in zip(bucketed.devices, legacy.devices):
+        reference = build()
+        fast = build()
+        run_per_device(reference, 600.0, barrier_s=300.0)
+        fast.run(600.0, barrier_s=300.0)
+        for a, b in zip(fast.devices, reference.devices):
             assert a.clock.ticks == b.clock.ticks
             assert a.netd.stats.operations == b.netd.stats.operations
             assert (a.netd.stats.total_wait_seconds
@@ -277,15 +273,14 @@ class TestFrontierSchedulerParity:
                                   b.meter.samples()[1])
             for ra, rb in zip(a.graph.reserves, b.graph.reserves):
                 assert ra.level == rb.level
-        assert bucketed.independent_cohort_spans > 0
+        assert fast.independent_cohort_spans > 0
 
-    def test_switchers_bucketed_matches_per_device_loop(self):
+    def test_switchers_match_oracle(self):
         """A fleet of switch-bound devices (clamps, debt repayment):
         the stacked segment chain must carry them through the frontier
-        scheduler exactly as the scalar loop does."""
-        def build(independent_cohorts):
-            world = World(tick_s=0.01, seed=33,
-                          independent_cohorts=independent_cohorts)
+        exactly as the scalar loop does."""
+        def build():
+            world = World(tick_s=0.01, seed=33)
             for i in range(6):
                 device = world.add_device(name=f"s{i}",
                                           record_interval_s=1.0,
@@ -301,22 +296,21 @@ class TestFrontierSchedulerParity:
                 device.spawn(napper(40.0 + 3.0 * i, 0.02), "maint",
                              reserve=reserve)
             return world
-        legacy = build(False)
-        bucketed = build(True)
-        legacy.run(300.0, independent=True)
-        bucketed.run(300.0, independent=True)
-        assert_fleets_match(bucketed, legacy)
-        assert bucketed.span_segments > 0
-        assert bucketed.degraded_spans == 0
+        reference = build()
+        fast = build()
+        run_per_device(reference, 300.0)
+        fast.run(300.0)
+        assert_fleets_match(fast, reference)
+        assert fast.span_segments > 0
+        assert fast.degraded_spans == 0
 
     def test_mixed_grid_cross_cohorts(self):
         """Devices on 10 ms and 20 ms grids whose wakes coincide in
         *time*: nanosecond key quantization must land them in one
         bucket, and the per-device span vector carries their distinct
         tick counts through one stacked solve."""
-        def build(independent_cohorts):
-            world = World(tick_s=0.01, seed=41,
-                          independent_cohorts=independent_cohorts)
+        def build():
+            world = World(tick_s=0.01, seed=41)
             for i in range(6):
                 device = world.add_device(name=f"m{i}",
                                           tick_s=0.02 if i % 2 else 0.01,
@@ -325,12 +319,12 @@ class TestFrontierSchedulerParity:
                 reserve = device.powered_reserve(0.2, name="m")
                 device.spawn(napper(30.0, 0.02), "m", reserve=reserve)
             return world
-        legacy = build(False)
-        bucketed = build(True)
-        legacy.run(120.0, barrier_s=60.0)
-        bucketed.run(120.0, barrier_s=60.0)
-        assert_fleets_match(bucketed, legacy)
-        assert bucketed.independent_cohort_spans > 0
+        reference = build()
+        fast = build()
+        run_per_device(reference, 120.0, barrier_s=60.0)
+        fast.run(120.0, barrier_s=60.0)
+        assert_fleets_match(fast, reference)
+        assert fast.independent_cohort_spans > 0
 
     def test_sharded_frontier_digests_bit_identical(self):
         """Different shard partitions change cohort membership but
@@ -349,7 +343,7 @@ class TestFrontierSchedulerParity:
         assert a.digest() == b.digest()
         for x, y in zip(a.digests, b.digests):
             assert x == y
-        # Both executions ran the frontier scheduler and stacked work.
+        # Both executions ran the frontier and stacked work.
         assert a.independent_cohort_spans > 0
         assert b.independent_cohort_spans > 0
         assert a.independent_rounds > 1
@@ -400,9 +394,35 @@ class TestMixedTickGrids:
         with pytest.raises(SimulationError):
             world.run(0.12, barrier_s=0.05)
         with pytest.raises(SimulationError):
-            world.run(1.2, independent=False)  # lockstep needs uniform
-        with pytest.raises(SimulationError):
             world.run_until(lambda: True)
+
+    def test_off_grid_duration_rejected_on_uniform_grid(self):
+        """Uniform fleets land exactly on every barrier too: an
+        off-grid duration or barrier raises instead of rounding up."""
+        world = World(tick_s=0.01)
+        world.add_device()
+        world.add_device()
+        with pytest.raises(SimulationError):
+            world.run(0.015)
+        with pytest.raises(SimulationError):
+            world.run(0.1, barrier_s=0.025)
+        assert world.ticks == 0
+        world.run(0.02)
+        assert all(d.clock.ticks == 2 for d in world.devices)
+
+    def test_lockstep_request_rejected(self):
+        """``independent`` survives only for callers written against
+        the retired lockstep scheduler: True is the frontier, False
+        raises."""
+        world = World(tick_s=0.01)
+        world.add_device()
+        with pytest.raises(SimulationError):
+            world.run(1.0, independent=False)
+        world.run(1.0, independent=True)
+        assert world.ticks == 100
+        fleet = ShardedWorld(lambda w, lo, hi: None, 1, shards=0)
+        with pytest.raises(SimulationError):
+            fleet.run(1.0, independent=False)
 
     def test_late_joiner_rejected(self):
         world = World(tick_s=0.01)

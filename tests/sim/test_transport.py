@@ -207,8 +207,8 @@ class TestHostDaemon:
                 world_kwargs={"tick_s": 0.01, "seed": 7})
             assert built == 4
             now, wall, ckpt = client.call(
-                "run", timeout_s=60.0, chunk_s=30.0, independent=True,
-                barrier=0, want_checkpoint=True)
+                "run", timeout_s=60.0, chunk_s=30.0, barrier=0,
+                want_checkpoint=True)
             assert now == pytest.approx(30.0)
             assert wall > 0 and ckpt is not None
             report = client.call("finish", timeout_s=30.0, shard=0,
