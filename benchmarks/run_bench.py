@@ -93,17 +93,10 @@ FLEET_SCALING_RECORD_S = 5.0
 #: The staggered headline point: randomized poll phases (no two
 #: devices share a wake schedule).
 FLEET_1K_STAGGERED_DEVICES = 1000
-#: Shard-count sensitivity sweep (0 = inline, no processes).
+#: Shard-count sensitivity sweep (0 = inline, no daemons).
 FLEET_SHARD_COUNTS = (0, 2, 4)
 FLEET_SHARD_DEVICES = 200
 FLEET_SHARD_SIM_S = 120.0
-#: Socket-transport overhead point: the staggered 1k fleet, sharded
-#: identically over worker pools vs shard-host daemons, four clock
-#: barriers so the wire carries real barrier traffic (requests,
-#: replies, checkpoints), not one degenerate round trip.
-FLEET_SOCKET_SHARDS = 2
-FLEET_SOCKET_HOSTS = 2
-FLEET_SOCKET_BARRIER_S = 150.0
 
 
 def build_micro_graph() -> ResourceGraph:
@@ -627,80 +620,30 @@ def run_fleet_1k_staggered(devices: int = FLEET_1K_STAGGERED_DEVICES,
     }
 
 
-def _staggered_shard_builder():
-    return functools.partial(
-        staggered_poller_shard, watts=0.02, period_s=300.0,
-        bytes_out=64, record_interval_s=FLEET_SCALING_RECORD_S,
-        decay_enabled=False)
-
-
-def run_fleet_socketed(devices: int = FLEET_1K_STAGGERED_DEVICES,
-                       sim_s: float = FLEET_1K_SIM_S,
-                       repeats: int = 3,
-                       barrier_s: float = FLEET_SOCKET_BARRIER_S) -> dict:
-    """Socket-transport overhead vs in-process sharding, best-of-N.
-
-    The same staggered fleet, the same partition, the same barrier
-    cadence — once over single-worker process pools and once over
-    shard-host daemons reached by TCP (:mod:`repro.sim.hostd`).  On a
-    single-core runner both sides serialize onto one CPU, so the
-    difference isolates what the socket tier *adds*: framing, pickle
-    round trips, heartbeat probes and daemon spawn.  Digests are
-    asserted bit-identical, and the floor pins the overhead ≤ 15%.
-    """
-    builder = _staggered_shard_builder()
-
-    def best_of(**transport_kwargs):
-        best = None
-        for _ in range(repeats):
-            fleet = ShardedWorld(builder, devices,
-                                 shards=FLEET_SOCKET_SHARDS,
-                                 tick_s=TICK_S, seed=7,
-                                 fast_forward=True, **transport_kwargs)
-            report = fleet.run(sim_s, barrier_s=barrier_s)
-            if best is None or report.wall_s < best.wall_s:
-                best = report
-        return best
-
-    in_process = best_of()
-    socketed = best_of(transport="sockets", hosts=FLEET_SOCKET_HOSTS)
-    assert socketed.digest() == in_process.digest(), \
-        "socket transport diverged from in-process sharding"
-    overhead = ((socketed.wall_s - in_process.wall_s)
-                / in_process.wall_s)
-    return {
-        "devices": devices,
-        "simulated_s": sim_s,
-        "shards": FLEET_SOCKET_SHARDS,
-        "hosts": FLEET_SOCKET_HOSTS,
-        "barrier_s": barrier_s,
-        "barriers": int(sim_s / barrier_s),
-        "process_wall_s": round(in_process.wall_s, 3),
-        "socket_wall_s": round(socketed.wall_s, 3),
-        "overhead_frac": round(overhead, 4),
-        "digest_identical": True,
-        "shard_reschedules": socketed.shard_reschedules,
-        "forced_terminations": socketed.forced_terminations,
-        "cpu_count": os.cpu_count(),
-    }
-
-
 def run_fleet_shards() -> dict:
-    """Shard-count sensitivity: the same fleet at 0/2/4 workers.
+    """Shard-count sensitivity: the same fleet at 0/2/4 shards.
 
-    On a single-core runner the process shards mostly measure IPC
-    and spawn overhead (recorded honestly); with real cores they
-    divide the wall clock.  ``cpu_count`` is recorded so readers can
-    interpret the sweep.
+    Sharded points run on one shard-host daemon per shard.  On a
+    single-core runner they mostly measure spawn and transport
+    overhead (recorded honestly); with real cores they divide the
+    wall clock.  ``cpu_count`` is recorded so readers can interpret
+    the sweep.  Every sharded digest must equal the inline
+    (``shards=0``) digest: partitioning is bit-invisible.
     """
     builder = _scaling_builder(FLEET_SHARD_DEVICES)
     sweep = []
-    for shards in FLEET_SHARD_COUNTS:
+    inline_digest = None
+    for shards in FLEET_SHARD_COUNTS:  # starts at 0, the inline oracle
         fleet = ShardedWorld(builder, FLEET_SHARD_DEVICES, shards=shards,
                              tick_s=TICK_S, seed=7, fast_forward=True)
         report = fleet.run(FLEET_SHARD_SIM_S)
+        if inline_digest is None:
+            inline_digest = report.digest()
+        assert report.digest() == inline_digest, \
+            f"{shards}-shard fleet diverged from the inline run"
         sweep.append({
             "shards": shards,
+            "hosts": report.hosts,
             "wall_s": round(report.wall_s, 3),
             "shard_walls_s": [round(w, 3) for w in report.shard_walls],
             "worst_conservation_error_j":
@@ -781,7 +724,6 @@ def collect() -> dict:
         "fleet_scaling": scaling,
         "fleet_1k": fleet_1k,
         "fleet_1k_staggered": run_fleet_1k_staggered(),
-        "fleet_socketed": run_fleet_socketed(),
         "fleet_shards": run_fleet_shards(),
         "checkpoint_overhead": run_checkpoint_overhead(),
     }

@@ -11,15 +11,15 @@ frontier: pooled waits, sleeps and radio timeouts fast-forward in
 closed form — cohort-batched across devices whose landings coincide,
 with every event still landing on its exact tick — and
 :class:`~repro.sim.shards.ShardedWorld` partitions the same fleet
-across worker processes that synchronize on clock barriers.
+across shard-host daemons that synchronize on clock barriers.
 
 Run with::
 
     python examples/fleet.py [devices] [duration_seconds] [shards]
 
 ``shards`` 0 (default) runs the fleet in this process; ``shards``
->= 1 runs that many single-worker process shards, each advancing its
-slice on the same frontier.  The duration must be a whole number of
+>= 1 runs that many shards, one per shard-host daemon, each advancing
+its slice on the same frontier.  The duration must be a whole number of
 10 ms ticks.
 """
 
@@ -38,7 +38,7 @@ def main() -> None:
 
     print(f"running {devices} devices for {fmt_duration(duration_s)} "
           f"of simulated time"
-          + (f" across {shards} process shards..." if shards else
+          + (f" across {shards} daemon shards..." if shards else
              " (in-process, cohort-batched)..."))
     start = time.perf_counter()
     if shards:

@@ -75,7 +75,8 @@ class SimulationError(CinderError):
 
 
 class ShardFailure(SimulationError):
-    """A fleet shard worker failed (crash, broken pool, worker raise).
+    """A fleet shard failed past recovery (a builder that raises on
+    every attempt, or a build that loses every host).
 
     Raised by the :class:`~repro.sim.shards.ShardedWorld` supervisor
     when a shard cannot be recovered by retry, checkpoint restore,
@@ -84,9 +85,9 @@ class ShardFailure(SimulationError):
     :attr:`~repro.sim.shards.FleetReport.shard_failures` (and, with
     full context — shard, barrier, attempt, host, recovery rung — in
     :attr:`~repro.sim.shards.FleetReport.recovery_events`) instead of
-    raising.  Messages carry the shard id, the barrier index, the
-    attempt count and (when socketed) the host, so a surfaced failure
-    is diagnosable without re-running the chaos experiment.
+    raising.  Messages carry the shard id, its device range, the
+    attempt count and the host losses, so a surfaced failure is
+    diagnosable without re-running the chaos experiment.
     """
 
 
@@ -109,8 +110,9 @@ class HostUnreachable(TransportError):
     """A shard host is gone from this side of the network: its daemon
     process died, it stopped answering heartbeats, or a partition cut
     it off.  The supervisor responds by *rescheduling* the host's
-    shards onto surviving hosts (restore or rebuild-replay), demoting
-    to inline execution only when no healthy host remains."""
+    shards (restore or rebuild-replay) onto its respawned daemon, or
+    onto another usable host when it cannot be respawned, demoting to
+    inline execution only when no healthy host remains."""
 
 
 class CheckpointError(SimulationError):

@@ -2,7 +2,7 @@
 
 The fault-tolerance substrate for sharded fleets (and the
 load-bearing prerequisite for the multi-host transport on the
-ROADMAP): a shard worker that crashes, hangs or raises mid-barrier
+ROADMAP): a shard whose daemon crashes, hangs or raises mid-barrier
 must be rebuildable to *exactly* the state it held at the last clock
 barrier, or recovery would silently fork the simulation.  Two
 capture methods, tried in order:
@@ -155,7 +155,7 @@ def capture(world: World, barrier: int,
     """Checkpoint ``world`` at a barrier, degrading pickle → replay.
 
     ``try_pickle=False`` skips the (one-time, possibly partial) pickle
-    attempt — shard workers remember that a world with live programs
+    attempt — shard slots remember that a world with live programs
     refused once and do not re-pay the attempt every barrier.
     """
     digest = world_digest(world)

@@ -3,33 +3,42 @@
 Recovery code that is only exercised by real crashes is untestable;
 recovery code exercised by *seeded, replayable* crashes can be
 asserted bit-identical to the fault-free run.  A :class:`FaultPlan`
-is a fixed list of :class:`FaultEvent` records — worker crash at
-barrier *k*, hang-for-*T*, builder raise, corrupt-digest — drawn
-deterministically from a seed (:meth:`FaultPlan.seeded`) or written
-out explicitly.  The :class:`~repro.sim.shards.ShardedWorld`
-supervisor consumes events parent-side (:meth:`FaultPlan.take`), so
-each fault fires exactly once: the retried execution after recovery
-does not re-trip the same injection, and the whole chaos run is a
-pure function of ``(fleet seed, fault seed)``.
+is a fixed list of :class:`FaultEvent` records — crash at barrier
+*k*, hang-for-*T*, builder raise, corrupt-digest, lost or late or
+duplicated reply, partition — drawn deterministically from a seed
+(:meth:`FaultPlan.seeded`) or written out explicitly.  The
+:class:`~repro.sim.shards.ShardedWorld` supervisor consumes events
+parent-side (:meth:`FaultPlan.take`) and embeds each in the one
+request it sabotages (or, for a partition, applies it to the one host
+link it cuts), so each fault fires exactly once: the retried
+execution after recovery does not re-trip the same injection, and a
+chaos run's :meth:`~repro.sim.shards.FleetReport.digest` is a pure
+function of ``(fleet seed, fault seed)``.  So is its recovery
+telemetry while no two shards share a host when a ``crash`` fires:
+the crash takes every slot on its daemon, and whether a co-hosted
+shard's reply beat the exit is a race.  The shard-host daemon
+(:mod:`repro.sim.hostd`) executes the embedded faults.
 
-Fault kinds:
+Fault kinds carried by a shard's barrier ``run`` request:
 
-* ``crash`` — the worker process exits hard (``os._exit``) before
-  running the barrier chunk: the parent sees ``BrokenProcessPool``,
-  respawns the pool and restores from the last barrier checkpoint.
-* ``hang`` — the worker sleeps ``hang_s`` before the chunk: the
-  parent's per-barrier timeout fires, the pool is terminated and
-  recovery proceeds as for a crash.
-* ``build_raise`` — the shard's builder raises during initial world
-  construction: the parent retries the build.
+* ``crash`` — the daemon hosting the shard exits hard (``os._exit``)
+  before running the chunk: a host loss, so the supervisor respawns
+  the daemon, reschedules every shard it held onto it, and restores
+  each from its last barrier checkpoint.
+* ``hang`` — the daemon's slot thread sleeps ``hang_s`` before the
+  chunk: the reply's deadline fires on a host that still answers
+  heartbeats, so the shard retries on the same host in a fresh slot.
 * ``corrupt_digest`` — the checkpoint captured at barrier *k* carries
   a mangled digest: every later restore attempt fails validation
   (:class:`~repro.errors.CheckpointError`), walking the shard down
-  the full degradation ladder to inline execution in the parent —
-  which rebuilds from scratch and stays bit-identical.
+  the full ladder to inline execution in the parent — which rebuilds
+  from scratch and stays bit-identical.
 
-Network fault kinds (socket transport only; see
-:mod:`repro.sim.transport` and :mod:`repro.sim.hostd`):
+``build_raise`` rides the ``build`` request instead: the shard's
+builder raises during initial world construction and the supervisor
+retries the build.
+
+Network fault kinds (see :mod:`repro.sim.transport`):
 
 * ``drop_msg`` — the host daemon executes the barrier request but its
   reply is lost: the parent's recv deadline fires and recovery
@@ -41,23 +50,14 @@ Network fault kinds (socket transport only; see
 * ``dup_msg`` — the reply is sent twice: the framing layer's sequence
   numbers discard the duplicate, so nothing recovers because nothing
   failed.
-* ``host_crash`` — the daemon process exits hard (``os._exit``): every
-  shard placed on it is *rescheduled* onto a surviving host.
 * ``partition`` — the network to the shard's current host is cut
-  (parent-side gate, permanent for the run): indistinguishable from a
-  dead host, so its shards reschedule the same way; the daemon
-  process itself survives until teardown.
-
-Like the process-mode kinds, every network fault is consumed
-parent-side exactly once (embedded in the one request it sabotages or
-applied to the one host link it cuts), so the chaos run stays a pure
-function of ``(fleet seed, fault seed)``.
+  (parent-side gate, permanent for the run): a host loss that cannot
+  be respawned, so its shards reschedule onto another usable host;
+  the daemon process itself survives until teardown.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import Collection, List, Optional, Sequence, Set
 
@@ -73,18 +73,16 @@ CORRUPT_DIGEST = "corrupt_digest"
 DROP_MSG = "drop_msg"
 DELAY_MSG = "delay_msg"
 DUP_MSG = "dup_msg"
-HOST_CRASH = "host_crash"
 PARTITION = "partition"
 
-#: Kinds injected through the worker's barrier-run entry point.
+#: Kinds a barrier ``run`` request carries to the slot's world.
 RUNTIME_KINDS = frozenset({CRASH, HANG, CORRUPT_DIGEST})
-#: Kinds injected through the worker's build entry point.
+#: Kinds a ``build`` request carries.
 BUILD_KINDS = frozenset({BUILD_RAISE})
-#: Kinds only the socket transport can express: message-level faults
-#: sabotage one request/reply exchange, host-level faults take out a
-#: whole shard host (daemon exit or network partition).
-NETWORK_KINDS = frozenset({DROP_MSG, DELAY_MSG, DUP_MSG, HOST_CRASH,
-                           PARTITION})
+#: Network kinds, also carried by barrier requests: message-level
+#: faults sabotage one request/reply exchange, a partition cuts the
+#: parent off from a whole shard host.
+NETWORK_KINDS = frozenset({DROP_MSG, DELAY_MSG, DUP_MSG, PARTITION})
 ALL_KINDS = RUNTIME_KINDS | BUILD_KINDS | NETWORK_KINDS
 
 
@@ -132,9 +130,9 @@ class FaultPlan:
                crashes: int = 1, hangs: int = 0,
                corrupt_digests: int = 0, build_raises: int = 0,
                drop_msgs: int = 0, delay_msgs: int = 0,
-               dup_msgs: int = 0, host_crashes: int = 0,
-               partitions: int = 0, hang_s: float = 30.0,
-               delay_s: float = 0.5) -> "FaultPlan":
+               dup_msgs: int = 0, partitions: int = 0,
+               hang_s: float = 30.0, delay_s: float = 0.5
+               ) -> "FaultPlan":
         """Draw a plan deterministically from ``seed``.
 
         Runtime and network faults land on distinct ``(shard,
@@ -145,7 +143,7 @@ class FaultPlan:
         if shards <= 0 or barriers <= 0:
             raise SimulationError("need at least one shard and barrier")
         runtime = (crashes + hangs + corrupt_digests + drop_msgs
-                   + delay_msgs + dup_msgs + host_crashes + partitions)
+                   + delay_msgs + dup_msgs + partitions)
         slots = shards * barriers
         if runtime > slots:
             raise SimulationError(
@@ -159,8 +157,7 @@ class FaultPlan:
         kinds = ([CRASH] * crashes + [HANG] * hangs
                  + [CORRUPT_DIGEST] * corrupt_digests
                  + [DROP_MSG] * drop_msgs + [DELAY_MSG] * delay_msgs
-                 + [DUP_MSG] * dup_msgs + [HOST_CRASH] * host_crashes
-                 + [PARTITION] * partitions)
+                 + [DUP_MSG] * dup_msgs + [PARTITION] * partitions)
         for pick, kind in zip(rng.choice(slots, size=runtime,
                                          replace=False), kinds):
             shard, barrier = divmod(int(pick), barriers)
@@ -214,18 +211,3 @@ class FaultPlan:
         """How many events of ``kind`` the plan schedules in total."""
         return sum(1 for event in self.events if event.kind == kind)
 
-
-def apply_runtime_fault(event: Optional[FaultEvent]) -> None:
-    """Worker-side: execute a runtime fault before the barrier chunk.
-
-    ``crash`` must bypass every ``finally``/atexit path — a real
-    segfaulted or OOM-killed worker does not unwind — hence
-    ``os._exit``.  ``corrupt_digest`` is applied to the checkpoint by
-    the caller, not here.
-    """
-    if event is None:
-        return
-    if event.kind == CRASH:
-        os._exit(23)
-    if event.kind == HANG:
-        time.sleep(event.hang_s)

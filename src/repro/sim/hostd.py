@@ -1,22 +1,21 @@
 """Shard-host daemon: N shard slots behind one TCP endpoint.
 
-A **host** is the unit of failure the socket transport adds on top of
-PR 6's per-worker story: one daemon process owning several **shard
-slots**, each a world slice driven through the same verbs the process
-pools speak — ``build``, ``run`` (advance to barrier), ``restore``,
-``finish`` (digest) — plus ``ping`` for liveness and ``shutdown`` for
-orderly teardown.  Lose the daemon and you lose every slot on it at
-once, which is exactly the failure the supervisor's reschedule rung
-exists for.
+A **host** is the shard tier's unit of execution and of failure: one
+daemon process owning several **shard slots**, each a world slice
+driven through the slot verbs — ``build``, ``run`` (advance to
+barrier), ``restore``, ``finish`` (digest) — plus ``ping`` for
+liveness and ``shutdown`` for orderly teardown.  Lose the daemon and
+you lose every slot on it at once, which is exactly the failure the
+supervisor's reschedule rung exists for.
 
 Parent side, a :class:`HostHandle` spawns the daemon
 (:func:`HostHandle.spawn` — the child binds ``127.0.0.1:0`` and
 reports its port back over a pipe, so no port is ever guessed),
 answers liveness probes, carries the parent-side **partition gate**,
 and hands out per-slot :class:`~repro.sim.transport.SlotClient`\\ s.
-A restarted daemon re-registers the same way — spawn again, learn the
-new port — so replacement hosts are indistinguishable from original
-ones.
+A crashed daemon is restarted the same way (:meth:`HostHandle.respawn`
+— spawn again, learn the new port), so a respawned host is
+indistinguishable from the original one.
 
 Daemon side, requests are served thread-per-connection: a slot's
 request stream is serial (the supervisor drives one in-flight verb
@@ -27,9 +26,10 @@ heartbeats meaningful during long barriers.
 Fault injection (:mod:`repro.sim.faults`) threads through the request
 itself: the one sabotaged message carries its
 :class:`~repro.sim.faults.FaultEvent`, and the daemon applies it at
-the matching point — ``crash``/``host_crash`` exits hard before
-dispatch, ``hang`` sleeps before dispatch, ``corrupt_digest`` mangles
-the captured checkpoint, ``delay_msg`` sleeps before the reply,
+the matching point — ``crash`` exits the whole daemon hard before
+dispatch, ``hang`` sleeps before dispatch, ``build_raise`` fails the
+build, ``corrupt_digest`` mangles the captured checkpoint,
+``delay_msg`` sleeps before the reply,
 ``drop_msg`` does the work but swallows the reply (the parent *must*
 restore before re-running, or state would diverge), and ``dup_msg``
 sends the reply twice for the framing layer's sequence numbers to
@@ -51,7 +51,7 @@ from ..errors import HostUnreachable, ShardFailure, TransportError
 from . import checkpoint as _checkpoint
 from . import transport
 from .faults import BUILD_RAISE, CORRUPT_DIGEST, CRASH, DELAY_MSG, \
-    DROP_MSG, DUP_MSG, HANG, HOST_CRASH
+    DROP_MSG, DUP_MSG, HANG
 from .shards import ShardReport, _world_report
 from .world import World
 
@@ -59,8 +59,7 @@ from .world import World
 #: its port before declaring the spawn failed.
 SPAWN_TIMEOUT_S = 30.0
 
-#: Exit status for injected hard crashes (mirrors the worker-pool
-#: convention in :func:`repro.sim.faults.apply_runtime_fault`).
+#: Exit status for injected hard crashes (``crash``).
 _CRASH_STATUS = 23
 
 
@@ -74,7 +73,9 @@ class _Slot:
 
     def __init__(self) -> None:
         self.world: Optional[World] = None
-        #: Sticky capture method, per slot (see ``_SHARD_PICKLE_OK``).
+        #: Sticky capture method: None = untried, else whether pickle
+        #: worked.  A world running live programs refuses to pickle
+        #: once and the slot stops re-paying the attempt every barrier.
         self.pickle_ok: Optional[bool] = None
 
 
@@ -153,7 +154,7 @@ def _serve(sock: socket.socket, slots: Dict[int, _Slot],
                 return
             fault = msg.get("fault")
             if fault is not None:
-                if fault.kind in (CRASH, HOST_CRASH):
+                if fault.kind == CRASH:
                     os._exit(_CRASH_STATUS)
                 if fault.kind == HANG:
                     time.sleep(fault.hang_s)
@@ -248,6 +249,24 @@ class HostHandle:
         self.partitioned = False
         self._drop_control()
 
+    def respawn(self, grace_s: float) -> bool:
+        """Restart a daemon whose process has exited; True on success.
+
+        A partitioned host is not restarted (its daemon lives on,
+        unreachable), nor is one whose process is still running
+        ``grace_s`` later: it may be slow, not dead.
+        """
+        if self.partitioned or self.process is None:
+            return False
+        self.process.join(timeout=grace_s)
+        if self.process.exitcode is None:
+            return False
+        try:
+            self.spawn()
+        except HostUnreachable:
+            return False
+        return True
+
     def gate(self) -> None:
         """Raise when the network to this host is (simulated) cut."""
         if self.partitioned:
@@ -313,33 +332,39 @@ class HostHandle:
         assert self.address is not None
         return transport.SlotClient(self.address, slot, gate=self.gate)
 
+    def _shutdown(self) -> bool:
+        """Ask the daemon to exit; True when it acknowledged."""
+        if self.partitioned or self.address is None:
+            return False
+        try:
+            conn = transport.connect(self.address, attempts=1,
+                                     timeout_s=2.0)
+            try:
+                conn.send({"verb": "shutdown", "slot": -1, "seq": 0,
+                           "fault": None}, timeout_s=2.0)
+                conn.recv(timeout_s=2.0)
+            finally:
+                conn.close()
+        except TransportError:
+            return False
+        return True
+
     def stop(self, drain_timeout_s: float = 5.0) -> int:
         """Tear the daemon down; returns forced terminations (0/1).
 
         A reachable daemon is asked to exit (``shutdown`` verb) and
-        joined within ``drain_timeout_s``; a partitioned or
-        unresponsive one is terminated — then killed — and counted as
-        forced, mirroring the worker-pool drain accounting.
+        joined within ``drain_timeout_s``.  One that never got the
+        request — partitioned or unresponsive — is terminated at once
+        (there is nothing to wait for), then killed if SIGTERM is
+        ignored; either way it counts as forced.
         """
         self._drop_control()
         proc = self.process
         if proc is None:
             return 0
         forced = 0
-        if proc.is_alive() and not self.partitioned \
-                and self.address is not None:
-            try:
-                conn = transport.connect(self.address, attempts=1,
-                                         timeout_s=2.0)
-                try:
-                    conn.send({"verb": "shutdown", "slot": -1,
-                               "seq": 0, "fault": None}, timeout_s=2.0)
-                    conn.recv(timeout_s=2.0)
-                finally:
-                    conn.close()
-            except TransportError:
-                pass
-        proc.join(timeout=drain_timeout_s)
+        if proc.is_alive() and self._shutdown():
+            proc.join(timeout=drain_timeout_s)
         if proc.is_alive():
             forced = 1
             proc.terminate()

@@ -1,12 +1,12 @@
 """Socket shard transport: framing, timeouts, reconnect, heartbeats.
 
-The wire tier under :mod:`repro.sim.hostd` and the ``ShardedWorld``
-``transport="sockets"`` mode.  The worker protocol was already
-message-shaped (build / advance-to-barrier / digest); this module
-gives those messages a real transport so shards can live in daemon
-processes reached only by TCP — today a localhost multi-daemon
-topology, by construction the same wire format a multi-host fleet
-speaks.
+The wire under the shard tier: :class:`~repro.sim.shards.ShardedWorld`
+reaches every shard slot on a :mod:`repro.sim.hostd` daemon through
+it.  The slot protocol is message-shaped (build / advance-to-barrier
+/ restore / digest); this module gives those messages a real
+transport so shards live in daemon processes reached only by TCP —
+today a localhost multi-daemon topology, by construction the same
+wire format a multi-host fleet speaks.
 
 The contract, piece by piece:
 

@@ -121,7 +121,7 @@ def poller_shard(
     every per-device quantity — name, seed, poll stagger — is keyed
     off the device's **global** index ``i``, not its position within
     this world, so a fleet split across
-    :class:`~repro.sim.shards.ShardedWorld` workers is device-for-
+    :class:`~repro.sim.shards.ShardedWorld` shards is device-for-
     device identical to the same fleet built in one world.  Module
     level and keyword-driven, hence picklable via
     :func:`functools.partial`.  Returns ``(device, process)`` pairs.

@@ -38,7 +38,7 @@ executes the same sequence of polls, span commits and steps as its own
 A one-device world is therefore sample-for-sample identical to running
 the bare :class:`~repro.sim.engine.CinderSystem`.  ``fast_forward=False``
 disables macro-stepping entirely.  Process-level sharding — partitions
-of a fleet advancing in parallel worker processes between clock
+of a fleet advancing in parallel shard-host daemons between clock
 barriers — lives in :mod:`repro.sim.shards` on top of this class.
 """
 

@@ -1,34 +1,37 @@
 """Chaos recovery: sharded fleets survive injected faults bit-identically.
 
 The acceptance contract for fleet fault tolerance: a seeded chaos run
-(worker crashes, hangs, corrupted checkpoints, builder raises) must
+(crashes, hangs, corrupted checkpoints, builder raises) on shard-host
+daemons must
 
 * complete and produce a :meth:`FleetReport.digest` **bit-identical**
   to the fault-free run of the same fleet,
 * account for every injection in the supervision telemetry
-  (``shard_restarts``, ``recovered_barriers``, ``degraded_shards``,
-  ``shard_failures``),
-* leak no worker processes past ``run()``.
+  (``shard_restarts``, ``shard_reschedules``, ``recovered_barriers``,
+  ``degraded_shards``, ``shard_failures``, ``recovery_events``),
+* leak no host daemon past ``run()``.
 
-Timeouts here are wall-clock (a hang is only detected by missing the
-barrier deadline), so the suite keeps fleets small and chunks short;
-``hang_s`` is far above the deadline so detection never races the
-sleep.
+A ``crash`` takes down the daemon hosting the shard, so it is a host
+loss: the daemon is respawned and the shard rescheduled back onto it,
+restored from its last checkpoint.  Every fleet here runs one shard
+per host, so each crash hits exactly one shard and the recovery
+telemetry replays exactly.  Timeouts here are wall-clock (a hang is
+only detected by missing the barrier deadline), so the suite keeps
+fleets small and chunks short; ``hang_s`` is far above the deadline
+so detection never races the sleep.
 """
 
 from __future__ import annotations
 
 import functools
 import multiprocessing
-import os
-import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.errors import ShardFailure, SimulationError
 from repro.sim.faults import (BUILD_RAISE, CORRUPT_DIGEST, CRASH, HANG,
                               FaultEvent, FaultPlan)
+from repro.sim.hostd import HostHandle
 from repro.sim.shards import ShardedWorld
 from repro.sim.workload import poller_shard
 
@@ -47,7 +50,12 @@ def _fleet(count: int = 10, shards: int = 2, **kwargs) -> ShardedWorld:
 
 def _assert_no_leaked_workers():
     leaked = multiprocessing.active_children()
-    assert not leaked, f"leaked worker processes: {leaked}"
+    assert not leaked, f"leaked host daemons: {leaked}"
+
+
+def _rungs(report):
+    return [(e.shard, e.barrier, e.rung, e.attempt, e.host)
+            for e in report.recovery_events]
 
 
 @pytest.fixture(scope="module")
@@ -55,19 +63,23 @@ def clean_digest():
     """The fault-free digest every chaos run must reproduce."""
     report = _fleet().run(180.0, barrier_s=30.0)
     assert report.shard_restarts == 0
+    assert report.shard_reschedules == 0
     assert report.recovered_barriers == 0
     assert not report.degraded_shards
     assert not report.shard_failures
     assert not report.recovery_events
     assert report.forced_terminations == 0
-    assert report.transport == "processes"
+    assert report.transport == "sockets"
+    assert report.hosts == 2  # one daemon per shard by default
     return report.digest()
 
 
 class TestChaosRecovery:
     def test_crashes_and_hang_recover_bit_identically(self, clean_digest):
-        # The ISSUE acceptance run: at least two worker crashes and one
-        # hang, all recovered, digests bit-identical to fault-free.
+        # Two crashes and one hang, all recovered, digests bit-identical
+        # to fault-free.  Each crash respawns its shard's daemon and
+        # reschedules the shard back onto it; the hang misses its
+        # deadline on a healthy host and retries in a fresh slot.
         plan = FaultPlan([
             FaultEvent(shard=0, barrier=1, kind=CRASH),
             FaultEvent(shard=1, barrier=3, kind=CRASH),
@@ -78,50 +90,66 @@ class TestChaosRecovery:
         assert report.digest() == clean_digest
         # Every injection fired and is visible in the telemetry.
         assert plan.consumed == 3
-        assert report.shard_restarts == 3
+        assert report.shard_reschedules == 2
+        assert report.shard_restarts == 1
         assert report.recovered_barriers == 3
         assert not report.degraded_shards
+        assert len(report.host_failures) == 2
         causes = [c for cs in report.shard_failures.values() for c in cs]
-        assert sum("crash" in c for c in causes) == 2
         assert sum("timeout" in c for c in causes) == 1
-        # The structured mirror: one "retry" rung per injection, each
-        # carrying shard, barrier, attempt and cause.
-        events = report.recovery_events
-        assert [(e.shard, e.barrier, e.rung) for e in events] == \
-            [(0, 1, "retry"), (1, 3, "retry"), (0, 4, "retry")]
-        assert all(e.attempt == 1 and e.phase == "barrier"
-                   for e in events)
+        # The structured mirror: a crash is a host loss (a mandatory
+        # move, no retry budget), a hang a retry on the same host.
+        assert _rungs(report) == [(0, 1, "reschedule", 0, 0),
+                                  (1, 3, "reschedule", 0, 1),
+                                  (0, 4, "retry", 1, 0)]
+        assert all(e.phase == "barrier" for e in report.recovery_events)
+        assert report.placement == {0: 0, 1: 1}
         _assert_no_leaked_workers()
 
     def test_seeded_chaos_sweep(self, clean_digest):
         # Seeded plans over several seeds: whatever the draw, recovery
-        # converges on the fault-free digest.
+        # converges on the fault-free digest, every crash fires and is
+        # answered by exactly one reschedule onto its shard's respawned
+        # daemon, and nothing degrades.
         for seed in (3, 17):
             plan = FaultPlan.seeded(seed, shards=2, barriers=6,
                                     crashes=2)
             report = _fleet(fault_plan=plan).run(180.0, barrier_s=30.0)
             assert report.digest() == clean_digest, f"seed {seed}"
-            assert report.shard_restarts == 2
             assert plan.consumed == 2
+            injected = sorted((e.barrier, e.shard) for e in plan.events)
+            assert _rungs(report) == [(s, k, "reschedule", 0, s)
+                                      for k, s in injected], f"seed {seed}"
+            assert report.shard_reschedules == 2
+            assert report.shard_restarts == 0
+            assert not report.degraded_shards
         _assert_no_leaked_workers()
 
     def test_chaos_run_is_reproducible(self, clean_digest):
         # The same (fleet seed, fault seed) twice: identical digests
-        # and identical failure telemetry — chaos runs replay.
+        # and identical recovery telemetry — chaos runs replay.
         plan = FaultPlan.seeded(11, shards=2, barriers=6, crashes=2)
         fleet = _fleet(fault_plan=plan)
         first = fleet.run(180.0, barrier_s=30.0)
         second = fleet.run(180.0, barrier_s=30.0)  # plan auto-rewinds
         assert first.digest() == second.digest() == clean_digest
-        assert first.shard_failures == second.shard_failures
-        assert first.shard_restarts == second.shard_restarts
+        assert plan.consumed == 2
+        assert _rungs(first) == _rungs(second) == [
+            (0, 1, "reschedule", 0, 0), (1, 5, "reschedule", 0, 1)]
+        assert first.shard_reschedules == second.shard_reschedules == 2
+        assert first.recovered_barriers == second.recovered_barriers == 2
+        assert first.placement == second.placement == {0: 0, 1: 1}
 
     def test_crash_before_first_barrier(self, clean_digest):
-        # No checkpoint exists yet: recovery rebuilds to time zero.
+        # No checkpoint exists yet: recovery rebuilds to time zero on
+        # the respawned daemon.
         plan = FaultPlan([FaultEvent(shard=1, barrier=0, kind=CRASH)])
         report = _fleet(fault_plan=plan).run(180.0, barrier_s=30.0)
         assert report.digest() == clean_digest
-        assert report.shard_restarts == 1
+        assert plan.consumed == 1
+        assert _rungs(report) == [(1, 0, "reschedule", 0, 1)]
+        assert report.shard_reschedules == 1
+        assert report.shard_restarts == 0
 
     def test_recovery_without_checkpoints(self, clean_digest):
         # checkpoint=False: recovery pays a full replay from zero but
@@ -130,7 +158,8 @@ class TestChaosRecovery:
         report = _fleet(fault_plan=plan,
                         checkpoint=False).run(180.0, barrier_s=30.0)
         assert report.digest() == clean_digest
-        assert report.shard_restarts == 1
+        assert plan.consumed == 1
+        assert report.shard_reschedules == 1
         assert report.recovered_barriers == 1
 
     def test_builder_raise_is_retried(self, clean_digest):
@@ -138,7 +167,11 @@ class TestChaosRecovery:
                                      kind=BUILD_RAISE)])
         report = _fleet(fault_plan=plan).run(180.0, barrier_s=30.0)
         assert report.digest() == clean_digest
+        assert plan.consumed == 1
         assert "build" in report.shard_failures[0][0]
+        # A raising builder leaves its host healthy: retry in place.
+        assert _rungs(report) == [(0, -1, "retry", 1, 0)]
+        assert report.shard_restarts == 1
 
     def test_genuinely_broken_builder_raises(self):
         # A builder that fails every attempt exhausts the retries and
@@ -155,9 +188,9 @@ class TestChaosRecovery:
 class TestGracefulDegradation:
     def test_exhausted_retries_demote_to_inline(self, clean_digest):
         # A corrupted checkpoint poisons every restore (digest
-        # validation refuses both the payload and the replay), so the
-        # next crash walks the shard down the whole ladder:
-        # retry -> restore -> rebuild-replay -> inline demotion.
+        # validation refuses the replay), so the crash that follows
+        # walks the shard down the whole ladder: reschedule onto the
+        # respawned host, retry the failed restore there, then inline.
         plan = FaultPlan([
             FaultEvent(shard=1, barrier=1, kind=CORRUPT_DIGEST),
             FaultEvent(shard=1, barrier=2, kind=CRASH),
@@ -166,19 +199,20 @@ class TestGracefulDegradation:
                         barrier_timeout_s=5.0).run(180.0, barrier_s=30.0)
         # Demoted, not diverged: the inline rebuild is authoritative.
         assert report.digest() == clean_digest
+        assert plan.consumed == 2
         assert report.degraded_shards == [1]
-        causes = report.shard_failures[1]
-        assert any("crash" in c for c in causes)
-        assert any("CheckpointError" in c for c in causes)
-        # The ladder's last rung is recorded as such.
-        assert report.recovery_events[-1].rung == "inline"
-        assert report.recovery_events[-1].shard == 1
+        assert any("host 1 lost" in line for line in report.host_failures)
+        assert any("CheckpointError" in c
+                   for c in report.shard_failures[1])
+        assert _rungs(report) == [(1, 2, "reschedule", 0, 1),
+                                  (1, 2, "retry", 1, 1),
+                                  (1, 2, "inline", 2, None)]
         _assert_no_leaked_workers()
 
     def test_demoted_shard_finishes_remaining_barriers(self,
                                                        clean_digest):
         # Demotion early in the run: the slice completes every later
-        # chunk inline alongside the healthy worker shards.
+        # chunk inline alongside the healthy daemon shard.
         plan = FaultPlan([
             FaultEvent(shard=0, barrier=1, kind=CORRUPT_DIGEST),
             FaultEvent(shard=0, barrier=2, kind=CRASH),
@@ -186,8 +220,11 @@ class TestGracefulDegradation:
         report = _fleet(fault_plan=plan, max_shard_retries=0).run(
             180.0, barrier_s=30.0)
         assert report.digest() == clean_digest
+        assert plan.consumed == 2
         assert report.degraded_shards == [0]
-        assert report.shard_restarts == 1
+        assert _rungs(report) == [(0, 2, "reschedule", 0, 0),
+                                  (0, 2, "inline", 1, None)]
+        assert report.shard_restarts == 0
 
 
 class TestSupervisionKnobs:
@@ -199,16 +236,28 @@ class TestSupervisionKnobs:
         with pytest.raises(SimulationError):
             _fleet(drain_timeout_s=0.0)
 
-    def test_drain_timeout_is_configurable(self):
-        # The pool-teardown join budget used to be a hard-coded 5 s;
-        # a custom budget must drain a healthy fleet without force.
+    def test_drain_timeout_is_configurable(self, monkeypatch):
+        # The host-teardown join budget used to be a hard-coded 5 s;
+        # a custom budget must drain a healthy fleet without force,
+        # every daemon exiting through ``shutdown`` (status 0).
+        statuses = []
+        stop = HostHandle.stop
+
+        def recording_stop(host, drain_timeout_s):
+            process = host.process
+            forced = stop(host, drain_timeout_s)
+            statuses.append(process.exitcode)
+            return forced
+
+        monkeypatch.setattr(HostHandle, "stop", recording_stop)
         report = _fleet(count=4, shards=2,
                         drain_timeout_s=2.0).run(60.0, barrier_s=30.0)
         assert report.forced_terminations == 0
+        assert statuses == [0, 0]
         _assert_no_leaked_workers()
 
     def test_per_shard_walls_are_worker_side(self):
-        # Walls are measured inside each worker around its own chunk,
+        # Walls are measured inside each daemon around its own chunk,
         # so their sum cannot exceed (shards x elapsed wall) and no
         # shard is charged for the parent blocking on its siblings.
         report = _fleet(count=8, shards=4).run(120.0, barrier_s=30.0)
@@ -219,43 +268,7 @@ class TestSupervisionKnobs:
     def test_fleet_report_digest_orders_globally(self):
         report = _fleet(count=9, shards=3).run(60.0, barrier_s=30.0)
         assert [d.index for d in report.digests] == list(range(9))
+        # Hosts default to one daemon per shard.
+        assert report.hosts == 3
+        assert report.placement == {0: 0, 1: 1, 2: 2}
 
-
-class TestPoolTeardown:
-    def test_healthy_teardowns_are_never_forced(self):
-        """Tearing down a pool races the executor's own manager
-        thread, which reaps the same worker: the ``waitpid`` that
-        loses gets ``ECHILD``.  A teardown that trusted ``is_alive()``
-        counted that healthy worker as one that outlived SIGTERM, and
-        one that returned before the manager thread recorded the exit
-        left the worker listed as a live child.  Many rounds of more
-        pools than cores, with shortened GIL switch intervals to
-        interleave the two threads, must force nothing and leave no
-        worker or manager thread behind any teardown."""
-        per_round = 2 * (os.cpu_count() or 1) + 2
-        forced = 0
-        unreaped = []
-        lingering = []
-        interval = sys.getswitchinterval()
-        try:
-            for round_ in range(16):
-                sys.setswitchinterval(1e-6 if round_ % 2 else 1e-3)
-                pools = []
-                for _ in range(per_round):
-                    pool = ProcessPoolExecutor(max_workers=1)
-                    pool.submit(int).result(timeout=30.0)
-                    pools.append(pool)
-                for pool in pools:
-                    workers = list(pool._processes.values())
-                    manager = pool._executor_manager_thread
-                    forced += ShardedWorld._kill_pool(
-                        pool, drain_timeout_s=10.0)
-                    unreaped += [w for w in workers if w.exitcode is None]
-                    if manager.is_alive():
-                        lingering.append(manager)
-        finally:
-            sys.setswitchinterval(interval)
-        assert forced == 0
-        assert not unreaped
-        assert not lingering
-        _assert_no_leaked_workers()

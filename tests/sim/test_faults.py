@@ -14,8 +14,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.faults import (ALL_KINDS, BUILD_KINDS, BUILD_RAISE, CRASH,
                               CORRUPT_DIGEST, DELAY_MSG, DROP_MSG, HANG,
-                              HOST_CRASH, NETWORK_KINDS, PARTITION,
-                              RUNTIME_KINDS, FaultEvent, FaultPlan)
+                              NETWORK_KINDS, PARTITION, RUNTIME_KINDS,
+                              FaultEvent, FaultPlan)
 
 
 class TestFaultEvent:
@@ -74,11 +74,11 @@ class TestSeededPlans:
                    if e.kind == HANG)
 
     def test_network_kinds_drawn_from_seed(self):
-        kwargs = dict(shards=3, barriers=4, crashes=0, drop_msgs=1,
-                      delay_msgs=1, dup_msgs=1, host_crashes=1,
-                      partitions=1, delay_s=0.75)
+        kwargs = dict(shards=3, barriers=4, crashes=1, drop_msgs=1,
+                      delay_msgs=1, dup_msgs=1, partitions=1,
+                      delay_s=0.75)
         plan = FaultPlan.seeded(11, **kwargs)
-        for kind in (DROP_MSG, DELAY_MSG, HOST_CRASH, PARTITION):
+        for kind in (CRASH, DROP_MSG, DELAY_MSG, PARTITION):
             assert plan.count(kind) == 1
         assert all(e.delay_s == 0.75 for e in plan.events
                    if e.kind == DELAY_MSG)

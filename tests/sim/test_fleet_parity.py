@@ -1,9 +1,9 @@
 """Fleet-tier parity: frontier and sharded Worlds vs the oracles.
 
 The fleet tier has two acceleration layers — the event-time frontier
-with its cohort-stacked graph solves, and process sharding — and both
-must be *semantically invisible*.  These tests pin that on randomized
-heterogeneous fleets:
+with its cohort-stacked graph solves, and sharding across shard-host
+daemons — and both must be *semantically invisible*.  These tests pin
+that on randomized heterogeneous fleets:
 
 * the frontier takes the same per-device poll/span/step decisions as
   the per-device oracle (:mod:`tests.sim.world_oracle`) and produces
@@ -11,7 +11,7 @@ heterogeneous fleets:
   wait seconds and pool levels), identical meter sample streams, and
   levels within the documented span-solver tolerance — bit-identical
   on diagonal topologies;
-* a process-sharded fleet's digests are bit-identical to the same
+* a daemon-sharded fleet's digests are bit-identical to the same
   fleet built and run in one process;
 * mixed tick grids align on the LCM barrier grid and every device
   matches a solo run of the same system.

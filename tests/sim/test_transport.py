@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import socket
 import threading
+import time
 
 import pytest
 
@@ -222,6 +223,24 @@ class TestHostDaemon:
         assert forced == 0
         assert host.process is None
 
+    def test_respawn_restarts_only_an_exited_daemon(self):
+        host = HostHandle(2)
+        host.spawn()
+        first = host.process
+        try:
+            # A running daemon may be slow, not dead: left alone.
+            assert not host.respawn(grace_s=0.05)
+            assert host.process is first
+            first.kill()
+            first.join(timeout=10.0)
+            assert not host.usable()
+            assert host.respawn(grace_s=0.05)
+            assert host.process is not first
+            host.probe()
+        finally:
+            forced = host.stop(drain_timeout_s=10.0)
+        assert forced == 0
+
     def test_partitioned_host_is_unusable_and_stops_forced(self):
         host = HostHandle(1)
         host.spawn()
@@ -231,10 +250,17 @@ class TestHostDaemon:
             with pytest.raises(HostUnreachable):
                 host.gate()
             assert not host.usable()
-            # The daemon is unreachable, not dead: it survives until
-            # teardown forcibly terminates it.
-            assert proc.is_alive()
+            # The daemon is unreachable, not dead: it is not respawned,
+            # and it survives until teardown forcibly terminates it.
+            assert not host.respawn(grace_s=0.05)
+            assert host.process is proc and proc.is_alive()
         finally:
+            start = time.perf_counter()
             forced = host.stop(drain_timeout_s=5.0)
+            wall = time.perf_counter() - start
         assert forced == 1
         assert not proc.is_alive()
+        # No shutdown could reach it, so there is nothing to drain:
+        # teardown terminates at once instead of waiting out the
+        # drain budget.
+        assert wall < 1.0, f"partitioned teardown took {wall:.2f}s"

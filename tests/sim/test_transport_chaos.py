@@ -3,14 +3,14 @@
 The acceptance contract for the distributed fault ladder:
 
 * a socketed fleet under each network fault kind (``drop_msg``,
-  ``delay_msg``, ``dup_msg``, ``host_crash``, ``partition``) finishes
-  with a :meth:`FleetReport.digest` **bit-identical** to the
-  fault-free run, under several distinct ``(fleet seed, fault seed)``
-  pairs;
-* a host loss *reschedules* the lost shards onto a surviving host —
-  ``degraded_shards == []`` and ``shard_reschedules >= 1`` — and
-  inline demotion in the parent happens only when **no** healthy host
-  remains;
+  ``delay_msg``, ``dup_msg``, ``partition``) and under a daemon
+  ``crash`` finishes with a :meth:`FleetReport.digest`
+  **bit-identical** to the fault-free run, under several distinct
+  ``(fleet seed, fault seed)`` pairs;
+* a host loss *reschedules* the lost shard — onto its respawned
+  daemon after a crash, onto a surviving host (a spare first) after a
+  partition — with ``degraded_shards == []``, and inline demotion in
+  the parent happens only when **no** healthy host remains;
 * a partitioned daemon survives until teardown forcibly terminates
   it (counted in ``forced_terminations``);
 * chaos runs replay: the same pair twice gives identical digests and
@@ -28,7 +28,7 @@ import multiprocessing
 
 import pytest
 
-from repro.sim.faults import (DELAY_MSG, DROP_MSG, DUP_MSG, HOST_CRASH,
+from repro.sim.faults import (CRASH, DELAY_MSG, DROP_MSG, DUP_MSG,
                               PARTITION, FaultEvent, FaultPlan)
 from repro.sim.shards import ShardedWorld
 from repro.sim.workload import poller_shard
@@ -53,7 +53,9 @@ def _builder(count: int):
 
 def _fleet(fleet_seed: int, shards: int = 2, hosts: int = 2,
            **kwargs) -> ShardedWorld:
-    kwargs.setdefault("barrier_timeout_s", 15.0)
+    # A barrier of this fleet takes tens of ms; a lost reply is only
+    # detected at the deadline, so the deadline is each drop's cost.
+    kwargs.setdefault("barrier_timeout_s", 3.0)
     kwargs.setdefault("retry_backoff_s", 0.01)
     kwargs.setdefault("heartbeat_s", 0.2)
     return ShardedWorld(_builder(COUNT), COUNT, shards=shards,
@@ -63,11 +65,10 @@ def _fleet(fleet_seed: int, shards: int = 2, hosts: int = 2,
 
 def _seeded_plan(fault_seed: int, kind: str) -> FaultPlan:
     counts = {DROP_MSG: "drop_msgs", DELAY_MSG: "delay_msgs",
-              DUP_MSG: "dup_msgs", HOST_CRASH: "host_crashes",
+              DUP_MSG: "dup_msgs", CRASH: "crashes",
               PARTITION: "partitions"}
     return FaultPlan.seeded(fault_seed, shards=2, barriers=BARRIERS,
-                            crashes=0, delay_s=0.3,
-                            **{counts[kind]: 1})
+                            delay_s=0.3, **{"crashes": 0, counts[kind]: 1})
 
 
 def _assert_no_leaked_processes():
@@ -94,7 +95,7 @@ def clean_digest():
 class TestNetworkFaultBitIdentity:
     @pytest.mark.parametrize("fleet_seed,fault_seed", PAIRS)
     @pytest.mark.parametrize("kind", [DROP_MSG, DELAY_MSG, DUP_MSG,
-                                      HOST_CRASH, PARTITION])
+                                      CRASH, PARTITION])
     def test_fault_kind_recovers_bit_identically(self, kind, fleet_seed,
                                                  fault_seed,
                                                  clean_digest):
@@ -108,67 +109,81 @@ class TestNetworkFaultBitIdentity:
         # Two healthy hosts means no fault here ever needs the
         # parent: degradation is reserved for zero healthy hosts.
         assert not report.degraded_shards
-        if kind in (HOST_CRASH, PARTITION):
-            assert report.shard_reschedules >= 1
+        if kind in (CRASH, PARTITION):
+            assert report.shard_reschedules == 1
             assert report.host_failures
         _assert_no_leaked_processes()
 
 
 class TestCrossHostRescheduling:
-    def test_host_loss_reschedules_onto_survivor(self, clean_digest):
-        # Host 1 dies at barrier 1; its shard must finish on host 0
-        # with no inline degradation — the acceptance run.
-        plan = FaultPlan([FaultEvent(shard=1, barrier=1,
-                                     kind=HOST_CRASH)])
-        report = _fleet(7, fault_plan=plan).run(DURATION_S,
-                                                barrier_s=BARRIER_S)
+    def test_crash_of_shared_host_reschedules_its_shards(self,
+                                                         clean_digest):
+        # Both shards share host 0 and shard 0's crash takes it down.
+        # Shard 0 respawns the daemon; shard 1, if its reply did not
+        # beat the exit, finds a new daemon at a new address — still a
+        # host loss, so a reschedule, never a budget-consuming retry.
+        plan = FaultPlan([FaultEvent(shard=0, barrier=1, kind=CRASH)])
+        report = _fleet(7, hosts=1, fault_plan=plan).run(
+            DURATION_S, barrier_s=BARRIER_S)
         assert report.digest() == clean_digest(7)
         assert report.degraded_shards == []
-        assert report.shard_reschedules >= 1
-        assert report.host_failures
-        # The placement map records the move to the surviving host.
-        assert report.placement[1] == 0
-        assert report.placement[0] == 0
-        reschedules = [e for e in report.recovery_events
-                       if e.rung == "reschedule"]
-        assert reschedules
-        assert all(e.host == 0 for e in reschedules)
-        # Host losses are mandatory moves: no retry budget consumed.
-        assert all(e.attempt == 0 for e in reschedules)
+        events = [(e.shard, e.barrier, e.rung, e.attempt, e.host)
+                  for e in report.recovery_events]
+        assert events[0] == (0, 1, "reschedule", 0, 0)
+        assert events[1:] in ([], [(1, 1, "reschedule", 0, 0)])
+        assert report.shard_restarts == 0
+        assert report.placement == {0: 0, 1: 0}
+        _assert_no_leaked_processes()
+
+    def test_host_loss_reschedules_onto_survivor(self, clean_digest):
+        # A partitioned host cannot be respawned: its shard moves to a
+        # surviving host, the idle spare (host 2) before busy host 1.
+        plan = FaultPlan([FaultEvent(shard=0, barrier=1,
+                                     kind=PARTITION)])
+        report = _fleet(7, hosts=3, fault_plan=plan).run(
+            DURATION_S, barrier_s=BARRIER_S)
+        assert report.digest() == clean_digest(7)
+        assert report.degraded_shards == []
+        assert [(e.shard, e.barrier, e.rung, e.attempt, e.host)
+                for e in report.recovery_events] == [
+            (0, 1, "reschedule", 0, 2)]
+        assert report.placement == {0: 2, 1: 1}
         _assert_no_leaked_processes()
 
     def test_partition_forces_termination_at_teardown(self,
                                                       clean_digest):
+        # With no spare, the partitioned host's shard shares host 1.
         plan = FaultPlan([FaultEvent(shard=0, barrier=1,
                                      kind=PARTITION)])
         report = _fleet(7, fault_plan=plan).run(DURATION_S,
                                                 barrier_s=BARRIER_S)
         assert report.digest() == clean_digest(7)
         assert report.degraded_shards == []
-        assert report.shard_reschedules >= 1
-        # The partitioned daemon was alive-but-unreachable until the
-        # teardown drain gave up and terminated it.
-        assert report.forced_terminations >= 1
+        assert report.shard_reschedules == 1
+        assert report.placement == {0: 1, 1: 1}
+        # The partitioned daemon was alive-but-unreachable, so no
+        # shutdown could reach it: teardown terminated it.
+        assert report.forced_terminations == 1
         assert any("partitioned" in line for line in report.host_failures)
         _assert_no_leaked_processes()
 
     def test_zero_healthy_hosts_demotes_inline(self, clean_digest):
-        # One host, and it crashes: the *only* situation in which the
-        # socketed ladder falls back to inline execution.
+        # One host, and the network to it is cut: the *only* situation
+        # in which the socketed ladder falls back to inline execution.
         plan = FaultPlan([FaultEvent(shard=0, barrier=1,
-                                     kind=HOST_CRASH)])
+                                     kind=PARTITION)])
         report = _fleet(7, hosts=1, fault_plan=plan).run(
             DURATION_S, barrier_s=BARRIER_S)
         assert report.digest() == clean_digest(7)
         assert sorted(report.degraded_shards) == [0, 1]
         assert report.shard_reschedules == 0
-        assert [e.rung for e in report.recovery_events
-                if e.shard == 0] == ["inline"]
+        assert [(e.shard, e.rung) for e in report.recovery_events] == [
+            (0, "inline"), (1, "inline")]
         _assert_no_leaked_processes()
 
     def test_chaos_run_is_reproducible(self, clean_digest):
         plan = FaultPlan.seeded(101, shards=2, barriers=BARRIERS,
-                                crashes=0, host_crashes=1)
+                                crashes=1)
         fleet = _fleet(7, fault_plan=plan)
         first = fleet.run(DURATION_S, barrier_s=BARRIER_S)
         second = fleet.run(DURATION_S, barrier_s=BARRIER_S)
@@ -198,7 +213,10 @@ class TestSocketedFleetBasics:
         with pytest.raises(Exception):
             ShardedWorld(_builder(4), 4, shards=2, transport="carrier-pigeon")
         with pytest.raises(Exception):
-            ShardedWorld(_builder(4), 4, shards=2, hosts=2)  # processes
+            # The process-pool tier is gone: daemons are the only one.
+            ShardedWorld(_builder(4), 4, shards=2, transport="processes")
+        # Hosts are meaningful without naming the transport.
+        assert ShardedWorld(_builder(4), 4, shards=2, hosts=2).hosts == 2
         with pytest.raises(Exception):
             ShardedWorld(_builder(4), 4, shards=2,
                          transport="sockets", hosts=0)
