@@ -84,6 +84,8 @@ segmented engine never guesses.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -121,6 +123,47 @@ _NORMAL, _DEBT, _EMPTY, _FULL, _HOVER = 0, 1, 2, 3, 4
 #: pass-through functional sits exactly on a boundary at derivation
 #: time; the monitor must not re-fire on that float noise).
 SAT_RTOL = 1e-9
+
+#: Entries a span tier's per-span factor cache holds before it is
+#: cleared.  One cache serves all of a tier's coupled systems and
+#: regimes and its clamp bound, so this bounds a tier's cached factors
+#: however many regimes it meets (docs/performance.md, "Steady
+#: regimes", gives the measured hit rates behind the value).
+SPAN_CACHE_MAX = 32
+
+
+def _remember(cache: dict, key, value):
+    """Store ``value`` under ``key``, clearing a full cache first."""
+    if len(cache) >= SPAN_CACHE_MAX:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+def _plain_sum(values) -> float:
+    """Left-to-right float sum that rounds after every add.
+
+    Builtin :func:`sum` compensates float sums from Python 3.12 on;
+    the mode derivation must round like the mode kernel, which adds
+    plainly, on every interpreter.
+    """
+    return reduce(add, values, 0.0)
+
+
+def _per_span(cache: dict, spans: np.ndarray, compute, *key):
+    """``compute()``, kept in ``cache`` when the stack has one span.
+
+    Keyed by that span's value plus ``key``.  A stack of per-device
+    spans (a fleet frontier bucket) is computed afresh: its entries
+    would be ``(d, n)`` arrays.
+    """
+    if spans.size != 1:
+        return compute()
+    full_key = (float(spans.flat[0]),) + key
+    hit = cache.get(full_key)
+    if hit is None:
+        hit = _remember(cache, full_key, compute())
+    return hit
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -231,24 +274,74 @@ def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m
 
 
+def _eig_span_factors(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                      b: np.ndarray, t: float) -> tuple:
+    """The level-independent operands of :func:`_eig_state_integral`.
+
+    ``(e^{wt}, phi1(wt), t·(phi1·cb), t²·(phi2·cb))`` with ``cb =
+    V^-1 b``: each is a whole subexpression of the propagation
+    formula in its own parenthesization, so a formula fed cached
+    factors rounds exactly like one that computes them in place.
+    """
+    w, v, vinv = eig
+    cb = vinv @ b
+    ez, p1, p2 = _phi12(w * t)
+    return ez, p1, t * (p1 * cb), (t * t) * (p2 * cb)
+
+
 def _eig_state_integral(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                        b: np.ndarray, lvl: np.ndarray,
-                        t: float) -> Tuple[np.ndarray, np.ndarray]:
+                        lvl: np.ndarray, t: float,
+                        factors: tuple) -> Tuple[np.ndarray, np.ndarray]:
     """``(L(t), J(t))`` on the eigenvalue path of ``L' = A L + b``.
 
     The one place the phi-function propagation formula lives: both the
     per-epoch :class:`CoupledSystem` and the per-regime
     :class:`_SegmentPropagator` delegate here, so the single-regime
-    and segmented tiers cannot drift apart.
+    and segmented tiers cannot drift apart.  ``factors`` is
+    :func:`_eig_span_factors` of the same ``(eig, b, t)``, which the
+    propagators cache per span length.
     """
     w, v, vinv = eig
+    ez, p1, drive, drive_integ = factors
     c0 = vinv @ lvl
-    cb = vinv @ b
-    z = w * t
-    ez, p1, p2 = _phi12(z)
-    end = (v @ (ez * c0 + t * (p1 * cb))).real
-    integ = (v @ (t * (p1 * c0) + (t * t) * (p2 * cb))).real
+    end = (v @ (ez * c0 + drive)).real
+    integ = (v @ (t * (p1 * c0) + drive_integ)).real
     return end, integ
+
+
+def _cached_propagate(system, lvl: np.ndarray,
+                      t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``(L(t), J(t))`` of a :class:`CoupledSystem` or regime propagator.
+
+    Everything that depends only on the system and ``t`` — the
+    eigenvalue path's exp/phi factors, or the Padé path's augmented
+    exponential — is kept in ``system.span_cache`` keyed by ``(t,
+    system)``, so a span of a length the system has solved before
+    costs only the level-dependent products.
+    """
+    if system.eig is not None:
+        cached = system.span_cache.get((t, system))
+        if cached is None:
+            cached = _remember(system.span_cache, (t, system),
+                               _eig_span_factors(system.eig, system.b, t))
+        return _eig_state_integral(system.eig, lvl, t, cached)
+    n = system.n
+    result = (_dense_propagator(system, t)
+              @ np.concatenate([lvl, [1.0], np.zeros(n)]))
+    return result[:n], result[n + 1:]
+
+
+def _dense_propagator(system, t: float) -> np.ndarray:
+    """The Padé path's ``expm`` of the augmented matrix at span ``t``.
+
+    Kept in ``system.span_cache`` under the key the eigenvalue path's
+    factors would use (a system takes exactly one of the two paths).
+    """
+    cached = system.span_cache.get((t, system))
+    if cached is None:
+        cached = _remember(system.span_cache, (t, system),
+                           _expm(_augmented(system.a, system.b) * t))
+    return cached
 
 
 def _eig_states_batch(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -297,6 +390,20 @@ def _eig_propagate_batch(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
     _, p1, p2 = _phi12(z)
     return ((tc * (p1 * c0) + (tc * tc) * (p2 * cb))
             @ v.T).real
+
+
+def _rowwise_bincount(cols: np.ndarray, weights: np.ndarray,
+                      n: int) -> np.ndarray:
+    """``out[r, cols[k]] += weights[r, k]`` over a ``(g, n)`` stack.
+
+    One flat :func:`np.bincount`: it accumulates every bin from zero in
+    input order, so each row's sums round exactly like a per-column
+    loop (or ``np.add.at``) over that row.
+    """
+    g = weights.shape[0]
+    flat = ((np.arange(g) * n)[:, None] + cols).ravel()
+    return np.bincount(flat, weights=weights.ravel(),
+                       minlength=g * n).reshape(g, n)
 
 
 def _trusted_eig(a: np.ndarray
@@ -349,8 +456,9 @@ class CoupledSystem:
         self.n = n
         #: (eigenvalues, V, V^-1) when the eigenbasis is trusted.
         self.eig: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        #: span -> expm of the augmented matrix (Padé fallback path).
-        self._dense_cache: Dict[float, np.ndarray] = {}
+        #: The tier's per-span cache, where :func:`_cached_propagate`
+        #: keeps this system's level-independent factors.
+        self.span_cache: Dict[tuple, object] = tier.span_cache
         #: Telemetry/testing: which solve path this system uses.
         self.mode = "dense"
         if not FORCE_DENSE_EXPM:
@@ -361,18 +469,7 @@ class CoupledSystem:
     def propagate(self, lvl: np.ndarray,
                   span: float) -> Tuple[np.ndarray, np.ndarray]:
         """``(L(span), J(span))`` where ``J = ∫_0^span L dt``."""
-        if self.eig is not None:
-            return _eig_state_integral(self.eig, self.b, lvl, span)
-        propagator = self._dense_cache.get(span)
-        if propagator is None:
-            propagator = _expm(_augmented(self.a, self.b) * span)
-            if len(self._dense_cache) > 32:  # unbounded-span safety valve
-                self._dense_cache.clear()
-            self._dense_cache[span] = propagator
-        n = self.n
-        state = np.concatenate([lvl, [1.0], np.zeros(n)])
-        result = propagator @ state
-        return result[:n], result[n + 1:]
+        return _cached_propagate(self, lvl, span)
 
 
 class _SegmentPropagator:
@@ -387,11 +484,14 @@ class _SegmentPropagator:
     small, and event location runs only when a switch is near).
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+    def __init__(self, a: np.ndarray, b: np.ndarray,
+                 span_cache: Dict[tuple, object]) -> None:
         self.a = a
         self.b = b
         self.n = a.shape[0]
         self.eig = None if FORCE_DENSE_EXPM else _trusted_eig(a)
+        #: The owning tier's per-span cache (see _cached_propagate).
+        self.span_cache = span_cache
 
     def states(self, lvl: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """``L(t)`` stacked over a *uniform* ascending grid ``ts``.
@@ -432,11 +532,7 @@ class _SegmentPropagator:
     def propagate(self, lvl: np.ndarray,
                   t: float) -> Tuple[np.ndarray, np.ndarray]:
         """``(L(t), J(t))`` where ``J = ∫_0^t L dt``."""
-        if self.eig is not None:
-            return _eig_state_integral(self.eig, self.b, lvl, t)
-        state = np.concatenate([lvl, [1.0], np.zeros(self.n)])
-        result = _expm(_augmented(self.a, self.b) * t) @ state
-        return result[:self.n], result[self.n + 1:]
+        return _cached_propagate(self, lvl, t)
 
 
 class _SegmentRegime:
@@ -449,15 +545,19 @@ class _SegmentRegime:
     set by the levels at derivation time), so regimes are cached on
     the tier keyed by the full derived spec — levels enter the
     propagator only as its initial condition.
+
+    ``span_cache`` is the tier's per-span cache, where the certificate
+    keeps ``(t, regime, "certify")`` -> ``(exp(-f·t), 1 - exp(-f·t))``.
     """
 
     __slots__ = ("mode", "eff", "const_idx", "prop_idx", "decay_rows",
-                 "system", "clamp_rows", "cap_rows", "cap_limits",
-                 "debt_rows", "debt_slope", "debt_linear", "lam",
-                 "root", "out_eff", "in_eff", "f_row", "always_safe",
-                 "cin_snk", "cin_src", "cin_eff", "psrc", "psnk",
-                 "prate", "hov_idx", "hov_rate", "pin_rows",
-                 "pin_rates", "fwd", "sat", "has_monitors")
+                 "system", "clamp_rows", "cert_rows", "cap_rows",
+                 "cap_limits", "debt_rows", "debt_slope", "debt_linear",
+                 "lam", "root", "out_eff", "in_eff", "f_row",
+                 "always_safe", "cin_snk", "cin_src", "cin_eff", "psrc",
+                 "psnk", "prate", "prop_src", "prop_rate", "hov_idx",
+                 "hov_rate", "pin_rows", "pin_rates", "fwd", "sat",
+                 "has_monitors", "span_cache")
 
     def __init__(self, **kw) -> None:
         for name in self.__slots__:
@@ -482,7 +582,8 @@ class _SegmentRegime:
           refined by crediting constant inflow from provably safe
           sources (the root, pinned reserves, and rows the previous
           iterate certified — the continuous analogue of the tier's
-          ``early_feeds`` refinement);
+          ``early_feeds`` refinement); the root is always safe, so
+          only :attr:`cert_rows` (the other clamp rows) need it;
         * **cap rows** — the iterated inflow upper bound (inflow at
           the previous bound, outflow ignored), the same bound the
           coupled tier refuses on;
@@ -498,29 +599,34 @@ class _SegmentRegime:
         """
         g, n = lvl.shape
         ok = np.ones(g, dtype=bool)
-        normal = self.mode == _NORMAL
         tcol = t[:, None]
         need_lower = self.sat[3].size > 0
-        clamp_sel = np.zeros((g, n), dtype=bool)
-        clamp_sel[:, self.clamp_rows] = True
-        clamp_sel &= ~crossed
+        clamp_sel = ~crossed[:, self.cert_rows]
         safe = None
         if clamp_sel.any() or need_lower:
+            normal = self.mode == _NORMAL
             safe = np.broadcast_to(self.always_safe, (g, n)).copy()
             f = self.f_row
             linear = f > 0.0
-            decay_f = np.exp(-f * tcol)
+
+            def decay() -> Tuple[np.ndarray, np.ndarray]:
+                decay_f = np.exp(-f * tcol)
+                return decay_f, 1.0 - decay_f
+
+            decay_f, grow = _per_span(self.span_cache, t, decay, self,
+                                      "certify")
+            kept = lvl * decay_f
             lower = np.zeros((g, n))
             for _ in range(4):
                 credit = np.zeros((g, n))
                 if self.cin_snk.size:
-                    np.add.at(credit, (slice(None), self.cin_snk),
-                              self.cin_eff * safe[:, self.cin_src])
+                    credit = _rowwise_bincount(
+                        self.cin_snk, self.cin_eff * safe[:, self.cin_src],
+                        n)
                 deficit = np.maximum(self.out_eff - credit, 0.0)
                 per_f = np.divide(deficit, f, out=np.zeros((g, n)),
                                   where=linear)
-                lower = np.where(linear,
-                                 lvl * decay_f - per_f * (1.0 - decay_f),
+                lower = np.where(linear, kept - per_f * grow,
                                  lvl - deficit * tcol)
                 refined = (self.always_safe
                            | (normal & (lower >= -4.0 * ltol[:, None])))
@@ -528,16 +634,22 @@ class _SegmentRegime:
                     break
                 safe = refined
             if clamp_sel.any():
-                ok &= ~(clamp_sel & ~safe).any(axis=1)
+                ok &= ~(clamp_sel & ~safe[:, self.cert_rows]).any(axis=1)
         best = None
         if self.cap_rows.size or need_lower:
             mass = np.maximum(lvl, 0.0).sum(axis=1)
             best = np.repeat(mass[:, None], n, axis=1)
+            # Each row's inflow starts from its constant part and
+            # adds the proportional terms in tap order.
+            cols = np.concatenate([np.arange(n), self.psnk])
+            const_in = np.broadcast_to(self.in_eff, (g, n))
             for _ in range(6):
-                inflow = np.broadcast_to(self.in_eff, (g, n)).copy()
                 if self.prate.size:
-                    np.add.at(inflow, (slice(None), self.psnk),
-                              self.prate * best[:, self.psrc])
+                    inflow = _rowwise_bincount(cols, np.concatenate(
+                        [const_in, self.prate * best[:, self.psrc]],
+                        axis=1), n)
+                else:
+                    inflow = const_in.copy()
                 if self.lam > 0.0 and self.decay_rows.size:
                     inflow[:, self.root] += self.lam * best[
                         :, self.decay_rows].sum(axis=1)
@@ -686,17 +798,33 @@ class SpanTier:
             else:
                 self.prop_out[s] += r
                 self.prop_sink_mask[k] = True
-        #: Constant feeds that land *before* their sink's first
-        #: constant drain in creation order: ``(sink, source, rate)``.
-        #: Within every tick these deposit ahead of the drain, so —
-        #: provided the feed's own source cannot clamp — they are
-        #: guaranteed income the clamp bound may credit (the
-        #: pass-through shapes: task-manager pools, relay junctions).
-        self.early_feeds = [
-            (int(plan.snk[j]), int(plan.src[j]), plan.rate[j])
-            for j in range(len(plan.taps))
-            if plan.const_mask[j]
-            and j < first_drain.get(int(plan.snk[j]), len(plan.taps))]
+        #: Constant feeds (tap indices, creation order) that land
+        #: *before* their sink's first constant drain.  Within every
+        #: tick these deposit ahead of the drain, so — provided the
+        #: feed's own source cannot clamp — they are guaranteed income
+        #: the clamp bound may credit (the pass-through shapes:
+        #: task-manager pools, relay junctions).
+        self.early_feeds = np.array(
+            [j for j in range(len(plan.taps))
+             if plan.const_mask[j]
+             and j < first_drain.get(int(plan.snk[j]), len(plan.taps))],
+            dtype=np.intp)
+        #: Rows a constant drain could clamp.
+        self._draining = self.const_out > 0.0
+        #: The clamp bound's most optimistic deficit: every early feed
+        #: credited (each refinement iterate credits a subset).
+        self._min_deficit = np.maximum(
+            self.const_out - np.bincount(
+                plan.snk[self.early_feeds],
+                weights=plan.rate[self.early_feeds], minlength=n), 0.0)
+        #: Everything that depends only on a span length and this
+        #: tier's topology, one budget for the whole tier (at most
+        #: :data:`SPAN_CACHE_MAX` entries): ``(span, system)`` -> a
+        #: coupled system's or regime propagator's factors
+        #: (:func:`_cached_propagate`), ``(span, regime, "certify")``
+        #: -> a regime certificate's, and ``(span, "clamp", f bytes)``
+        #: -> the clamp bound's.
+        self.span_cache: Dict[tuple, object] = {}
         #: Per-reserve tap adjacency (index lists into the plan's tap
         #: arrays), precomputed once per tier: the segmented engine's
         #: regime derivation walks these per segment, and plans are
@@ -717,6 +845,9 @@ class SpanTier:
         #: (:func:`repro.core.segkernel.derive_modes`), built lazily
         #: from the dicts above in their exact iteration order.
         self._modes_csr: Optional[tuple] = None
+        #: Inputs of the Python mode derivation, built lazily (most
+        #: tiers never leave the single-regime solvers).
+        self._modes_py: Optional[tuple] = None
         #: lam -> the coupled linear system at that decay constant.
         self._coupled: Dict[float, CoupledSystem] = {}
         #: (lam, mode bytes) -> cached :class:`_SegmentRegime` (the
@@ -728,6 +859,28 @@ class SpanTier:
         self.diagonal_solves = 0
         self.coupled_solves = 0
         self.segmented_solves = 0
+
+    def _dynamics(self, lam: float
+                  ) -> Tuple[np.ndarray, np.ndarray, bool, bool]:
+        """``(f, linear, coupled, cap_may_bind)`` at decay constant ``lam``.
+
+        ``f`` is each reserve's proportional drain plus decay rate and
+        ``linear`` marks ``f > 0``; ``coupled`` says a reserve whose
+        drains read its level also has level-dependent inflow (the
+        diagonal solver needs constant inflow there), and
+        ``cap_may_bind`` that a finite capacity receives inflow.
+        """
+        plan = self.plan
+        f = self.prop_out + (lam if lam > 0.0 else 0.0) * plan.decay_mask
+        linear = f > 0.0
+        varying_in = self.prop_sink_mask.copy()
+        if lam > 0.0 and plan.any_decayable:
+            varying_in[plan.root_index] = True
+        cap = plan.finite_cap
+        coupled = bool(np.any(linear & varying_in))
+        cap_may_bind = bool(cap.size) and bool(np.any(
+            (self.const_in[cap] > 0.0) | varying_in[cap]))
+        return f, linear, coupled, cap_may_bind
 
     # -- shared refusal bounds ---------------------------------------------------
 
@@ -754,6 +907,12 @@ class SpanTier:
         safe by the previous iterate, and tick execution delivers
         those deposits ahead of the drain by creation order.
 
+        A row that fails even with *every* early feed credited is
+        refused before iterating, exactly: each iterate's credit is an
+        in-order sum of a subset of those non-negative rates (the rest
+        as zeros), which rounds no higher than the full sum, so its
+        bound is never above the all-credit one.
+
         ``span`` may be a scalar (the whole stack shares one horizon)
         or a ``(d,)`` vector of per-row spans (the fleet frontier's
         heterogeneous-horizon cohorts); the bound is
@@ -763,29 +922,41 @@ class SpanTier:
         """
         d, n = lvl.shape
         const_out = self.const_out
-        draining = const_out > 0.0
+        draining = self._draining
         if not draining.any():
             return np.ones(d, dtype=bool)
-        spans = np.broadcast_to(np.asarray(span, dtype=float),
-                                (d,))[:, None]
-        per_f = np.divide(const_out, f, out=np.zeros(n), where=linear)
-        decay_f = np.exp(-spans * f)
-        lower = np.where(linear,
-                         lvl * decay_f - per_f * (1.0 - decay_f),
-                         lvl - const_out * spans)
-        safe = (lower >= 0.0) | ~draining
-        rows_ok = safe.all(axis=1)
-        if rows_ok.all() or not self.early_feeds:
+        spans = np.asarray(span, dtype=float).reshape(-1, 1)
+
+        def compute() -> tuple:
+            decay_f = np.exp(-spans * f)
+            grow = 1.0 - decay_f
+            # Both bounds' deficits: inflow-free, and all-credit.
+            deficits = np.stack([const_out, self._min_deficit])[:, None, :]
+            per_f = np.divide(deficits, f, out=np.zeros(deficits.shape),
+                              where=linear)
+            return decay_f, grow, per_f * grow, deficits * spans
+
+        decay_f, grow, drops, lin_drops = _per_span(
+            self.span_cache, spans, compute, "clamp", f.tobytes())
+        kept = lvl * decay_f
+        lower = np.where(linear, kept - drops, lvl - lin_drops)
+        passes = ((lower >= 0.0) | ~draining).all(axis=2)
+        rows_ok = passes[0]
+        if (rows_ok.all() or not self.early_feeds.size
+                or (rows_ok | ~passes[1]).all()):
             return rows_ok
+        safe = (lower[0] >= 0.0) | ~draining
+        plan = self.plan
+        feed_snk = plan.snk[self.early_feeds]
+        feed_src = plan.src[self.early_feeds]
+        feed_rate = plan.rate[self.early_feeds]
         for _ in range(3):
-            guaranteed = np.zeros((d, n))
-            for snk, src, rate in self.early_feeds:
-                guaranteed[:, snk] += rate * safe[:, src]
+            guaranteed = _rowwise_bincount(
+                feed_snk, feed_rate * safe[:, feed_src], n)
             deficit = np.maximum(const_out - guaranteed, 0.0)
             per_f = np.divide(deficit, f, out=np.zeros((d, n)),
                               where=linear)
-            lower = np.where(linear,
-                             lvl * decay_f - per_f * (1.0 - decay_f),
+            lower = np.where(linear, kept - per_f * grow,
                              lvl - deficit * spans)
             refined = (lower >= 0.0) | ~draining
             if (refined == safe).all():
@@ -815,7 +986,6 @@ class SpanTier:
         and only refuses the residual shapes it cannot rewrite.
         """
         plan = self.plan
-        n = len(plan.reserves)
         policy = plan.graph.decay_policy
         lam = policy.lam if policy.enabled else 0.0
         lvl = plan._gather_levels()
@@ -823,19 +993,11 @@ class SpanTier:
             # Debt entry: the max(L, 0) nonlinearity is itself a
             # regime — repayment segments instead of refusing.
             return self._execute_segmented(span, lam, lvl)
-        f = self.prop_out + (lam if lam > 0.0 else 0.0) * plan.decay_mask
-        linear = f > 0.0
-        # Reserves whose drains read their level need constant inflow
-        # for the *diagonal* solver; anything else is a coupled system.
-        varying_in = self.prop_sink_mask.copy()
-        if lam > 0.0 and plan.any_decayable:
-            varying_in[plan.root_index] = True
+        f, linear, coupled, cap_may_bind = self._dynamics(lam)
         result: Optional[float] = None
-        if np.any(linear & varying_in):
+        if coupled:
             result = self._execute_coupled(span, lam, lvl, f, linear)
-        elif plan.finite_cap.size and np.any(
-                (self.const_in[plan.finite_cap] > 0.0)
-                | varying_in[plan.finite_cap]):
+        elif cap_may_bind:
             result = None  # a capacity could bind: locate the instant
         elif not self._clamp_bound_ok(lvl, span, f, linear):
             result = None  # a drain could clamp: locate the instant
@@ -1135,6 +1297,30 @@ class SpanTier:
             self._modes_csr = pack
         return pack
 
+    def _modes_py_pack(self) -> tuple:
+        """The empty-pin candidates, then the plan arrays as lists.
+
+        Candidates are the reserves the mode kernel always punts on
+        once they sit empty: non-root, uncapped (no capacity pin can
+        claim them first), with a constant drain.  The lists serve
+        :meth:`_derive_modes_full`, whose per-element reads and sums
+        cost far less on floats than on numpy scalars (same IEEE
+        arithmetic, same order).
+        """
+        pack = self._modes_py
+        if pack is None:
+            plan = self.plan
+            candidates = np.array(
+                [i for i in sorted(self.const_from)
+                 if i != plan.root_index
+                 and not math.isfinite(plan.capacity[i])], dtype=np.intp)
+            pack = self._modes_py = (
+                candidates, plan.src.tolist(), plan.snk.tolist(),
+                plan.rate.tolist(), plan.const_mask.tolist(),
+                plan.capacity.tolist(), plan.decay_mask.tolist(),
+                plan.finite_cap.tolist())
+        return pack
+
     def _derive_modes(self, lvl: np.ndarray, lam: float, ltol: float
                       ) -> Optional[Tuple[np.ndarray, np.ndarray,
                                           np.ndarray, np.ndarray, tuple]]:
@@ -1145,9 +1331,15 @@ class SpanTier:
         (:func:`repro.core.segkernel.derive_modes`; numpy fallback
         when numba is absent), which fills the mode and effective-rate
         arrays bit-identically to :meth:`_derive_modes_full` and
-        punts back to it for every richer regime.
+        punts back to it for every richer regime.  A state with an
+        empty-pin candidate (see :meth:`_modes_py_pack`) at ``0 <= L
+        <= 4·ltol`` is one the kernel always punts on, so it goes to
+        the full derivation directly.
         """
         plan = self.plan
+        near = lvl[self._modes_py_pack()[0]]
+        if ((near >= 0.0) & (near <= 4.0 * ltol)).any():
+            return self._derive_modes_full(lvl, lam, ltol)
         finite_cap, src64, snk64, ci_ptr, ci_idx, cf_ptr, cf_idx, \
             pi_ptr, pi_idx, pf_ptr, pf_idx = self._modes_csr_pack()
         n = len(plan.reserves)
@@ -1192,21 +1384,23 @@ class SpanTier:
         remainder ``cpart + Σ wⱼ·Lⱼ(t)`` into its sink.  None marks
         the residual shapes with no supported rewrite; the caller
         refuses the span.
+
+        Works on Python lists (:meth:`_modes_py_pack`) and returns
+        numpy arrays; every sum is a :func:`_plain_sum` in tap order,
+        rounding like the mode kernel's.
         """
         plan = self.plan
         n = len(plan.reserves)
         m = len(plan.taps)
-        src = plan.src
-        snk = plan.snk
-        rate = plan.rate
-        const = plan.const_mask
-        cap = plan.capacity
+        _, src, snk, rate, const, cap, decay_mask, finite_cap = \
+            self._modes_py_pack()
         root = plan.root_index
         boundary = 4.0 * ltol
-        mode = np.full(n, _NORMAL, dtype=np.int8)
-        mode[lvl < 0.0] = _DEBT  # dust was clamped by the caller
-        hov = np.zeros(m)
-        pin_loss = np.zeros(n)
+        lvl = lvl.tolist()
+        # dust was clamped by the caller
+        mode = [_DEBT if x < 0.0 else _NORMAL for x in lvl]
+        hov = [0.0] * m
+        pin_loss = [0.0] * n
         hover_rows: List[int] = []
 
         const_into = self.const_into
@@ -1215,22 +1409,21 @@ class SpanTier:
         prop_from = self.prop_from
 
         # -- capacity pins: at the cap with live inflow --
-        for i in plan.finite_cap:
-            i = int(i)
+        for i in finite_cap:
             if mode[i] != _NORMAL:
                 continue
             band = max(1e-9, 1e-11 * cap[i])
             if lvl[i] < cap[i] - 2.0 * band:
                 continue
-            c_in_rate = sum(rate[j] for j in const_into.get(i, ())
-                            if mode[int(src[j])] != _DEBT)
-            live_prop_in = any(mode[int(src[j])] == _NORMAL
+            c_in_rate = _plain_sum([rate[j] for j in const_into.get(i, ())
+                                    if mode[src[j]] != _DEBT])
+            live_prop_in = any(mode[src[j]] == _NORMAL
                                for j in prop_into.get(i, ()))
             decay_in = (i == root and lam > 0.0 and plan.any_decayable)
             if c_in_rate <= 0.0 and not live_prop_in and not decay_in:
                 continue  # nothing arrives: normal dynamics are exact
             drains = bool(const_from.get(i)) or bool(prop_from.get(i))
-            decays = lam > 0.0 and bool(plan.decay_mask[i])
+            decays = lam > 0.0 and decay_mask[i]
             if not drains and not decays:
                 mode[i] = _FULL
                 continue
@@ -1243,8 +1436,9 @@ class SpanTier:
                 # Time-varying inflow into a binding capacity has no
                 # constant rewrite; per-tick execution handles it.
                 return None
-            out_rate = sum(rate[j] for j in const_from.get(i, ()))
-            out_rate += sum(rate[j] for j in prop_from.get(i, ())) * lvl[i]
+            out_rate = _plain_sum([rate[j] for j in const_from.get(i, ())])
+            out_rate += _plain_sum(
+                [rate[j] for j in prop_from.get(i, ())]) * lvl[i]
             if decays:
                 out_rate += lam * lvl[i]
             if c_in_rate >= out_rate * (1.0 - SAT_RTOL):
@@ -1254,12 +1448,8 @@ class SpanTier:
                     pin_loss[i] = lam * lvl[i]
 
         # -- effective constant rates under the pins --
-        eff = np.where(const, rate, 0.0)
-        for j in range(m):
-            if not const[j]:
-                continue
-            if mode[int(src[j])] == _DEBT or mode[int(snk[j])] == _FULL:
-                eff[j] = 0.0
+        eff = [r if c and mode[s] != _DEBT and mode[k] != _FULL else 0.0
+               for r, c, s, k in zip(rate, const, src, snk)]
 
         # -- hover acceptance: the steady per-tick cycle --
         # At the pinned level every tick repeats the same pattern:
@@ -1273,10 +1463,11 @@ class SpanTier:
                                 + list(prop_from.get(i, ()))
                                 + list(const_into.get(i, ()))))
             for j in prop_from.get(i, ()):
-                if mode[int(snk[j])] != _FULL:
+                if mode[snk[j]] != _FULL:
                     hov[j] = rate[j] * lvl[i]
-            produced = (sum(eff[j] for j in const_from.get(i, ()))
-                        + sum(hov[j] for j in prop_from.get(i, ()))
+            produced = (_plain_sum([eff[j] for j in const_from.get(i, ())])
+                        + _plain_sum([hov[j]
+                                      for j in prop_from.get(i, ())])
                         + pin_loss[i])
 
             def _accepted(carry: float, i: int = i,
@@ -1284,7 +1475,7 @@ class SpanTier:
                 h = carry
                 took = 0.0
                 for j in taps_i:
-                    if int(src[j]) == i:
+                    if src[j] == i:
                         h += eff[j] if const[j] else hov[j]
                     elif eff[j] > 0.0:
                         a = min(eff[j], h)
@@ -1292,7 +1483,8 @@ class SpanTier:
                         h -= a
                 return took
 
-            hi_c = produced + sum(eff[j] for j in const_into.get(i, ()))
+            hi_c = produced + _plain_sum(
+                [eff[j] for j in const_into.get(i, ())])
             lo_c = 0.0
             if _accepted(hi_c) < produced * (1.0 - SAT_RTOL):
                 return None  # deposits cannot sustain the hover
@@ -1304,7 +1496,7 @@ class SpanTier:
                     lo_c = mid
             h = hi_c
             for j in taps_i:
-                if int(src[j]) == i:
+                if src[j] == i:
                     h += eff[j] if const[j] else hov[j]
                 elif eff[j] > 0.0:
                     a = min(eff[j], h)
@@ -1332,17 +1524,17 @@ class SpanTier:
                 if mode[i] != _NORMAL and mode[i] != _EMPTY:
                     continue
                 drains = [j for j in const_from.get(i, ())
-                          if mode[int(snk[j])] != _FULL]
-                out_rate = sum(rate[j] for j in drains)
+                          if mode[snk[j]] != _FULL]
+                out_rate = _plain_sum([rate[j] for j in drains])
                 if out_rate <= 0.0:
                     continue
-                c_in = sum(eff[j] for j in const_into.get(i, ()))
-                c_in += sum(hov[j] for j in prop_into.get(i, ())
-                            if mode[int(src[j])] == _HOVER)
+                c_in = _plain_sum([eff[j] for j in const_into.get(i, ())])
+                c_in += _plain_sum([hov[j] for j in prop_into.get(i, ())
+                                    if mode[src[j]] == _HOVER])
                 live_prop = [j for j in prop_into.get(i, ())
-                             if mode[int(src[j])] == _NORMAL]
-                p_in = sum(rate[j] * max(0.0, lvl[int(src[j])])
-                           for j in live_prop)
+                             if mode[src[j]] == _NORMAL]
+                p_in = _plain_sum([rate[j] * max(0.0, lvl[src[j]])
+                                   for j in live_prop])
                 if c_in + p_in >= out_rate - 1e-15:
                     if mode[i] == _EMPTY:
                         mode[i] = _NORMAL
@@ -1394,12 +1586,12 @@ class SpanTier:
                         if eff[j] != 0.0:
                             eff[j] = 0.0
                             changed = True
-                srcs = tuple(int(src[j]) for j in live_prop)
-                wts = tuple(float(rate[j]) for j in live_prop)
+                srcs = tuple(src[j] for j in live_prop)
+                wts = tuple(rate[j] for j in live_prop)
                 tol = (SAT_RTOL * max(1.0, rate[marginal])
                        + 4.0 * ltol * sum(wts))
-                entry = (int(marginal), float(c_in - r_prev), srcs,
-                         wts, float(tol))
+                entry = (marginal, float(c_in - r_prev), srcs, wts,
+                         float(tol))
                 if fwd_map.get(i) != entry:
                     fwd_map[i] = entry
                     changed = True
@@ -1412,7 +1604,7 @@ class SpanTier:
 
         # -- post-validation of the level-dependent pins --
         for j, cpart, srcs, wts, tol in fwd_map.values():
-            if mode[int(snk[j])] != _NORMAL:
+            if mode[snk[j]] != _NORMAL:
                 return None  # forwarded-into-pinned cascade
             if any(mode[s] != _NORMAL for s in srcs):
                 return None  # settled modes invalidated the forwarding
@@ -1420,15 +1612,16 @@ class SpanTier:
             for j in const_into.get(i, ()):
                 if eff[j] <= 0.0:
                     continue
-                s = int(src[j])
+                s = src[j]
                 if mode[s] != _NORMAL or lvl[s] <= boundary:
                     return None  # acceptance split needs a firm source
             for j in (list(const_from.get(i, ()))
                       + list(prop_from.get(i, ()))):
-                if mode[int(snk[j])] == _HOVER:
+                if mode[snk[j]] == _HOVER:
                     return None  # hover-to-hover adjacency
-        return mode, eff, hov, pin_loss, tuple(
-            sorted(fwd_map.values()))
+        return (np.array(mode, dtype=np.int8), np.array(eff, dtype=float),
+                np.array(hov, dtype=float), np.array(pin_loss, dtype=float),
+                tuple(sorted(fwd_map.values())))
 
     def _build_regime(self, mode: np.ndarray, eff: np.ndarray,
                       hov: np.ndarray, pin_loss: np.ndarray,
@@ -1589,8 +1782,10 @@ class SpanTier:
             const_idx=const_idx,
             prop_idx=prop_idx,
             decay_rows=decay_rows,
-            system=_SegmentPropagator(a, b),
-            clamp_rows=clamp_rows, cap_rows=cap_rows,
+            system=_SegmentPropagator(a, b, self.span_cache),
+            clamp_rows=clamp_rows,
+            cert_rows=clamp_rows[~always_safe[clamp_rows]],
+            cap_rows=cap_rows,
             cap_limits=cap_limits, debt_rows=debt_rows,
             debt_slope=debt_slope, debt_linear=debt_linear,
             lam=lam, root=root, out_eff=out_eff, in_eff=in_eff,
@@ -1600,11 +1795,13 @@ class SpanTier:
             psrc=src[prop_idx][prop_coupled[prop_idx]],
             psnk=snk[prop_idx][prop_coupled[prop_idx]],
             prate=rate[prop_idx][prop_coupled[prop_idx]],
+            prop_src=src[prop_idx], prop_rate=rate[prop_idx],
             hov_idx=hov_idx, hov_rate=hov[hov_idx],
             pin_rows=pin_rows, pin_rates=pin_loss[pin_rows],
             fwd=tuple(fwd_entries), sat=sat,
             has_monitors=bool(clamp_rows.size or cap_rows.size
-                              or debt_rows.size or sat[3].size))
+                              or debt_rows.size or sat[3].size),
+            span_cache=self.span_cache)
 
     def _integrate_segment(self, regime: _SegmentRegime, lvl: np.ndarray,
                            t: float, lam: float) -> Optional[Tuple]:
@@ -1616,8 +1813,7 @@ class SpanTier:
         if regime.const_idx.size:
             moved[regime.const_idx] = regime.eff[regime.const_idx] * t
         if regime.prop_idx.size:
-            psrc = plan.src[regime.prop_idx]
-            moved[regime.prop_idx] = plan.rate[regime.prop_idx] * integ[psrc]
+            moved[regime.prop_idx] = regime.prop_rate * integ[regime.prop_src]
         if regime.hov_idx.size:
             moved[regime.hov_idx] = regime.hov_rate * t
         for j, cpart, fsrc, fwts in regime.fwd:
@@ -1804,22 +2000,14 @@ def execute_span_batch(tiers: List[SpanTier],
     results: List[Optional[float]] = [None] * d
     seg = np.any(lvl < 0.0, axis=1)  # debt entry: a regime, not a refusal
     ok = ~seg
-    f = lead.prop_out + (lam if lam > 0.0 else 0.0) * plan.decay_mask
-    linear = f > 0.0
-    varying_in = lead.prop_sink_mask.copy()
-    if lam > 0.0 and plan.any_decayable:
-        varying_in[plan.root_index] = True
-    coupled = bool(np.any(linear & varying_in))
+    f, linear, coupled, cap_may_bind = lead._dynamics(lam)
     if not coupled:
         # A capacity that can bind has no single-regime closed form;
         # this is a topology property, so every device runs the
         # segment chain (which certifies or locates the binding).
-        if plan.finite_cap.size:
-            cap_idx = plan.finite_cap
-            gets_inflow = (lead.const_in[cap_idx] > 0.0) | varying_in[cap_idx]
-            if np.any(gets_inflow):
-                seg |= ok
-                ok[:] = False
+        if cap_may_bind:
+            seg |= ok
+            ok[:] = False
         if ok.any():
             clamp_ok = lead.batch_clamp_ok(lvl, spans, f, linear)
             seg |= ok & ~clamp_ok
@@ -1889,12 +2077,7 @@ def execute_span_batch(tiers: List[SpanTier],
         integ = np.empty((d, n))
         for s_val in np.unique(spans):
             s_val = float(s_val)
-            propagator = system._dense_cache.get(s_val)
-            if propagator is None:
-                propagator = _expm(_augmented(system.a, system.b) * s_val)
-                if len(system._dense_cache) > 32:
-                    system._dense_cache.clear()
-                system._dense_cache[s_val] = propagator
+            propagator = _dense_propagator(system, s_val)
             rows = spans == s_val
             integ[rows] = (state[rows] @ propagator.T)[:, n + 1:]
     integ = np.maximum(integ, 0.0)
@@ -2181,9 +2364,8 @@ def _batch_segmented(tiers: List[SpanTier], span, lam: float,
                     ci = regime.const_idx
                     seg_moved[:, ci] = regime.eff[ci] * t_seg[:, None]
                 if regime.prop_idx.size:
-                    pi = regime.prop_idx
-                    seg_moved[:, pi] = (plan.rate[pi]
-                                        * integ[:, plan.src[pi]])
+                    seg_moved[:, regime.prop_idx] = (
+                        regime.prop_rate * integ[:, regime.prop_src])
                 if regime.hov_idx.size:
                     seg_moved[:, regime.hov_idx] = (regime.hov_rate
                                                     * t_seg[:, None])
