@@ -817,6 +817,10 @@ class SpanTier:
             self.const_out - np.bincount(
                 plan.snk[self.early_feeds],
                 weights=plan.rate[self.early_feeds], minlength=n), 0.0)
+        #: Rows whose constant drains outrun even that credit, where
+        #: :meth:`_must_segment` looks for an empty row.
+        self._deficit_rows = np.flatnonzero(
+            self._min_deficit > 0.0).tolist()
         #: Everything that depends only on a span length and this
         #: tier's topology, one budget for the whole tier (at most
         #: :data:`SPAN_CACHE_MAX` entries): ``(span, system)`` -> a
@@ -850,11 +854,29 @@ class SpanTier:
         self._modes_py: Optional[tuple] = None
         #: lam -> the coupled linear system at that decay constant.
         self._coupled: Dict[float, CoupledSystem] = {}
-        #: (lam, mode bytes) -> cached :class:`_SegmentRegime` (the
+        #: lam -> :meth:`_dynamics` at that decay constant.
+        self._dynamics_at: Dict[float, tuple] = {}
+        #: Cached :class:`_SegmentRegime` objects under two key shapes
+        #: (see :meth:`_regime_for`): the whole derived spec ``(lam,
+        #: mode, eff, hov, pin_loss, fwd)``, and the level
+        #: classification ``(lam, debt bits, near-empty bits, cap-band
+        #: bits)`` of states whose derivation reads nothing else.  The
         #: eigendecomposition amortizes across every segment that
         #: re-enters the same regime; persistent clamped regimes
-        #: re-enter one per macro-step).
-        self._regimes: Dict[Tuple[float, bytes], _SegmentRegime] = {}
+        #: re-enter one per macro-step.
+        self._regimes: Dict[tuple, _SegmentRegime] = {}
+        #: The classification's rows: non-root rows with a constant
+        #: drain (empty-pin candidates once near zero), which of those
+        #: take proportional inflow, and each finite-capacity row's
+        #: band floor ``cap - 2·band`` (the derivation's own formula).
+        self._drained_rows = np.array(
+            [i for i in sorted(self.const_from) if i != plan.root_index],
+            dtype=np.intp)
+        self._drained_fed = np.array(
+            [i in self.prop_into for i in self._drained_rows.tolist()],
+            dtype=bool)
+        cap = plan.capacity[plan.finite_cap]
+        self._cap_floor = cap - 2.0 * np.maximum(1e-9, 1e-11 * cap)
         #: Telemetry: spans solved by each tier (diagnostics/tests).
         self.diagonal_solves = 0
         self.coupled_solves = 0
@@ -869,7 +891,13 @@ class SpanTier:
         drains read its level also has level-dependent inflow (the
         diagonal solver needs constant inflow there), and
         ``cap_may_bind`` that a finite capacity receives inflow.
+
+        None of it reads a level, so it is kept per decay constant
+        (``f`` and ``linear`` come back read-only).
         """
+        dynamics = self._dynamics_at.get(lam)
+        if dynamics is not None:
+            return dynamics
         plan = self.plan
         f = self.prop_out + (lam if lam > 0.0 else 0.0) * plan.decay_mask
         linear = f > 0.0
@@ -880,7 +908,13 @@ class SpanTier:
         coupled = bool(np.any(linear & varying_in))
         cap_may_bind = bool(cap.size) and bool(np.any(
             (self.const_in[cap] > 0.0) | varying_in[cap]))
-        return f, linear, coupled, cap_may_bind
+        f.flags.writeable = False
+        linear.flags.writeable = False
+        if len(self._dynamics_at) > 4:  # decay toggles are rare
+            self._dynamics_at.clear()
+        dynamics = self._dynamics_at[lam] = (f, linear, coupled,
+                                             cap_may_bind)
+        return dynamics
 
     # -- shared refusal bounds ---------------------------------------------------
 
@@ -926,18 +960,8 @@ class SpanTier:
         if not draining.any():
             return np.ones(d, dtype=bool)
         spans = np.asarray(span, dtype=float).reshape(-1, 1)
-
-        def compute() -> tuple:
-            decay_f = np.exp(-spans * f)
-            grow = 1.0 - decay_f
-            # Both bounds' deficits: inflow-free, and all-credit.
-            deficits = np.stack([const_out, self._min_deficit])[:, None, :]
-            per_f = np.divide(deficits, f, out=np.zeros(deficits.shape),
-                              where=linear)
-            return decay_f, grow, per_f * grow, deficits * spans
-
-        decay_f, grow, drops, lin_drops = _per_span(
-            self.span_cache, spans, compute, "clamp", f.tobytes())
+        decay_f, grow, drops, lin_drops = self._clamp_factors(spans, f,
+                                                              linear)
         kept = lvl * decay_f
         lower = np.where(linear, kept - drops, lvl - lin_drops)
         passes = ((lower >= 0.0) | ~draining).all(axis=2)
@@ -970,6 +994,59 @@ class SpanTier:
         return bool(self._clamp_safe_rows(lvl[None, :], span, f,
                                           linear)[0])
 
+    def _clamp_factors(self, spans: np.ndarray, f: np.ndarray,
+                       linear: np.ndarray) -> tuple:
+        """The clamp bound's per-span constants for ``(d, 1)`` spans.
+
+        ``(exp(-f·t), 1 - exp(-f·t), drops, lin_drops)``; the last two
+        stack the inflow-free (index 0) and all-credit (index 1)
+        bounds' drains over the span, for linear and constant rows.
+        """
+        def compute() -> tuple:
+            decay_f = np.exp(-spans * f)
+            grow = 1.0 - decay_f
+            # Both bounds' deficits: inflow-free, and all-credit.
+            deficits = np.stack([self.const_out,
+                                 self._min_deficit])[:, None, :]
+            per_f = np.divide(deficits, f, out=np.zeros(deficits.shape),
+                              where=linear)
+            return decay_f, grow, per_f * grow, deficits * spans
+
+        return _per_span(self.span_cache, spans, compute, "clamp",
+                         f.tobytes())
+
+    def _must_segment(self, lvl: np.ndarray, span: float,
+                      f: np.ndarray, linear: np.ndarray) -> bool:
+        """True when the single-regime tiers are certain to refuse.
+
+        That is when a row of :attr:`_deficit_rows` sits empty (``L <=
+        0``) and its all-credit clamp lower bound over ``span`` is
+        negative — the very value :meth:`_clamp_safe_rows` computes,
+        from the same cached factors.  That method then refuses: the
+        row fails the all-credit bound, the inflow-free bound is never
+        above it (a larger deficit, and IEEE rounding is monotone),
+        and neither is any refinement iterate (its credit is an
+        in-order sum of a subset of the same non-negative rates, so
+        its deficit is never smaller).  Both single-regime tiers check
+        that bound (the coupled one after its capacity bound), so both
+        refuse.  A drained task reserve whose drain outruns its feed
+        sits in exactly this state span after span.
+        """
+        empty = [r for r in self._deficit_rows if lvl[r] <= 0.0]
+        if not empty:
+            return False
+        decay_f, _, drops, lin_drops = self._clamp_factors(
+            np.array([[span]], dtype=float), f, linear)
+        for r in empty:
+            # One IEEE op at a time, as the stacked form rounds them.
+            if linear[r]:
+                lower = lvl[r] * decay_f[0, r] - drops[1, 0, r]
+            else:
+                lower = lvl[r] - lin_drops[1, 0, r]
+            if lower < 0.0:
+                return True
+        return False
+
     # -- entry point ---------------------------------------------------------------
 
     def execute(self, span: float) -> Optional[float]:
@@ -983,7 +1060,9 @@ class SpanTier:
         refused — debt entry, a possible mid-span clamp, capacity
         pressure — the span falls through to the segmented engine,
         which integrates regime to regime across the switch instants
-        and only refuses the residual shapes it cannot rewrite.
+        and only refuses the residual shapes it cannot rewrite.  A
+        span they are certain to refuse (:meth:`_must_segment`) goes
+        there directly.
         """
         plan = self.plan
         policy = plan.graph.decay_policy
@@ -995,7 +1074,9 @@ class SpanTier:
             return self._execute_segmented(span, lam, lvl)
         f, linear, coupled, cap_may_bind = self._dynamics(lam)
         result: Optional[float] = None
-        if coupled:
+        if self._must_segment(lvl, span, f, linear):
+            result = None  # an empty row will clamp: locate the instants
+        elif coupled:
             result = self._execute_coupled(span, lam, lvl, f, linear)
         elif cap_may_bind:
             result = None  # a capacity could bind: locate the instant
@@ -1250,26 +1331,52 @@ class SpanTier:
                     ltol: float) -> Optional[_SegmentRegime]:
         """The cached regime for the current levels (or None).
 
-        The key covers the whole derived spec, not just the mode
-        vector: hover pins and forwarded allocations fold *levels*
-        into effective rates, so two visits to the same mode vector
-        can still be different linear systems.  The common regimes
-        (no pins, or pins with purely rate-derived allocations) hash
-        to stable keys and hit every re-entry.
+        A lookup first tries the levels' *classification*: ``lam``,
+        the ``L < 0`` bits (debt), the ``L <= 4·ltol`` bits of
+        :attr:`_drained_rows` (empty-pin candidates) and the ``L >=
+        cap - 2·band`` bits of the finite-capacity rows (cap pins).
+        Those comparisons are all the mode derivation reads of the
+        levels unless a capacity row sits in its band (hover pins
+        fold levels into rates) or a near-empty candidate takes
+        proportional inflow (forwarded allocations do).  A derivation
+        free of both is therefore a function of its classification,
+        and only such a result is stored under it.
+
+        Otherwise the regime is derived and keyed by its whole spec,
+        not just the mode vector: hover pins and forwarded
+        allocations make two visits to one mode vector different
+        linear systems.  A classification entry always maps to the
+        object its spec maps to, so a hit returns exactly what a
+        fresh derivation would.
         """
+        neg = lvl < 0.0
+        near = lvl[self._drained_rows] <= 4.0 * ltol
+        banded = lvl[self.plan.finite_cap] >= self._cap_floor
+        key = (lam, neg.tobytes(), near.tobytes(), banded.tobytes())
+        regime = self._regimes.get(key)
+        if regime is not None:
+            return regime
         derived = self._derive_modes(lvl, lam, ltol)
         if derived is None:
             return None
         mode, eff, hov, pin_loss, fwd = derived
-        key = (lam, mode.tobytes(), eff.tobytes(), hov.tobytes(),
-               pin_loss.tobytes(), fwd)
-        regime = self._regimes.get(key)
+        spec = (lam, mode.tobytes(), eff.tobytes(), hov.tobytes(),
+                pin_loss.tobytes(), fwd)
+        entries = {}
+        regime = self._regimes.get(spec)
         if regime is None:
-            regime = self._build_regime(mode, eff, hov, pin_loss, fwd,
-                                        lam)
-            if len(self._regimes) > 16:  # regime-churn safety valve
+            regime = entries[spec] = self._build_regime(
+                mode, eff, hov, pin_loss, fwd, lam)
+        # pure: no row in its cap band, no proportionally fed candidate
+        if not (banded.any() or (near & self._drained_fed
+                                 & ~neg[self._drained_rows]).any()):
+            entries[key] = regime
+        if entries:
+            # regime-churn safety valve: at most 17 entries
+            if len(self._regimes) + len(entries) > 17:
                 self._regimes.clear()
-            self._regimes[key] = regime
+                entries[spec] = regime
+            self._regimes.update(entries)
         return regime
 
     def _modes_csr_pack(self) -> tuple:

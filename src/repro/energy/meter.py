@@ -56,16 +56,17 @@ class PowerMeter:
         """Integrate true power over ``dt`` seconds; emit due samples.
 
         A fast-forwarded span may cover hours at constant power; the
-        scalar one-window-at-a-time loop (kept as
-        :meth:`_feed_reference`, the differential-testing oracle)
-        would cost thousands of Python iterations.  Whole windows are
-        instead emitted in bulk with numpy while reproducing the
-        reference bit-for-bit: running times and the energy totalizer
-        advance through ``numpy.cumsum`` (sequential, so identical to
-        repeated ``+=``), window means repeat one scalar-computed
-        value, and noise draws come from one array call, which
-        consumes the generator stream exactly like per-emit scalar
-        draws.
+        scalar one-window-at-a-time loop (:meth:`_feed_one` until the
+        span is used up; ``feed_reference`` in
+        ``tests/sim/test_events_world.py`` keeps it as the
+        differential-testing oracle) would cost thousands of Python
+        iterations.  Whole windows are instead emitted in bulk with
+        numpy while reproducing the reference bit-for-bit: running
+        times and the energy totalizer advance through
+        ``numpy.cumsum`` (sequential, so identical to repeated
+        ``+=``), window means repeat one scalar-computed value, and
+        noise draws come from one array call, which consumes the
+        generator stream exactly like per-emit scalar draws.
         """
         if dt < 0:
             raise SimulationError("dt must be non-negative")
@@ -195,16 +196,6 @@ class PowerMeter:
         if self._window_time >= self.sample_interval_s - 1e-12:
             self._emit()
         return remaining
-
-    def _feed_reference(self, watts: float, dt: float) -> None:
-        """The original scalar loop (kept as the differential oracle)."""
-        if dt < 0:
-            raise SimulationError("dt must be non-negative")
-        if watts < 0:
-            raise SimulationError("negative system power")
-        remaining = dt
-        while remaining > 0.0:
-            remaining = self._feed_one(watts, remaining)
 
     def _emit_whole_windows(self, watts: float, count: int) -> None:
         """Bulk-emit ``count`` whole windows at constant ``watts``.

@@ -17,6 +17,8 @@ Three contracts are pinned here:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,13 @@ class TestDeviceEventSources:
         assert len(beats) == 4
 
 
+def feed_reference(meter, watts, dt):
+    """:meth:`PowerMeter.feed` as the scalar one-window-at-a-time loop."""
+    remaining = dt
+    while remaining > 0.0:
+        remaining = meter._feed_one(watts, remaining)
+
+
 class TestMeterVectorizedFeed:
     @pytest.mark.parametrize("noise", [0.0, 0.03])
     def test_bulk_feed_matches_reference_bit_for_bit(self, noise):
@@ -326,7 +335,7 @@ class TestMeterVectorizedFeed:
             dt = float(rng.choice([0.01, 0.07, 0.2, 1.0, 3.6,
                                    123.4567, 7200.0]))
             vec.feed(watts, dt)
-            ref._feed_reference(watts, dt)
+            feed_reference(ref, watts, dt)
         assert np.array_equal(vec.samples()[0], ref.samples()[0])
         assert np.array_equal(vec.samples()[1], ref.samples()[1])
         assert vec._sample_windows == ref._sample_windows
@@ -338,7 +347,7 @@ class TestMeterVectorizedFeed:
     def test_partial_window_then_bulk(self):
         vec = PowerMeter()
         ref = PowerMeter()
-        for meter, feed in ((vec, vec.feed), (ref, ref._feed_reference)):
+        for feed in (vec.feed, partial(feed_reference, ref)):
             feed(1.0, 0.13)     # partial window open
             feed(2.0, 600.0)    # drain + 2999-ish whole windows
             feed(0.5, 0.05)
