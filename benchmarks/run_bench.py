@@ -25,7 +25,8 @@ Tracks the hot paths this repo's performance work targets:
 * **fleet** — a 50-device :class:`~repro.sim.world.World` of
   staggered pollers; wall-clock for 10 simulated minutes plus a
   speedup estimate from a tick-by-tick slice run through the
-  per-device oracle loop.
+  per-device oracle loop, the median of three alternating
+  (fast-forward, tick-slice) pairs.
 * **fleet_1k_staggered** — the event-time frontier's headline: 1000
   pollers with *randomized* poll phases (no comb of coinciding
   wakes), best-of-3 us/device-second plus the frontier-round and
@@ -47,6 +48,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -473,28 +475,29 @@ def build_fleet(fast_forward: bool) -> World:
 
 
 def run_fleet() -> dict:
-    # Best-of-3 on both sides: a shared 1-core CI runner's scheduler
-    # noise would otherwise dominate the ratio this bench floors
-    # (best-of-2 still flaked within a few percent of the floor).
-    fast_wall = float("inf")
-    world = None
+    # Three alternating (fast-forward, tick-slice) pairs, and the
+    # median of the per-pair ratios: both sides of a ratio run within
+    # seconds of each other, so host load that drifts over a run moves
+    # numerator and denominator together, and one disturbed pair
+    # cannot set the result.
+    fast_walls = []
+    slice_walls = []
+    ratios = []
     for _ in range(3):
-        candidate = build_fleet(True)
+        world = build_fleet(True)
         start = time.perf_counter()
-        candidate.run(FLEET_SIM_S)
-        wall = time.perf_counter() - start
-        if wall < fast_wall:
-            fast_wall, world = wall, candidate
-
-    slice_wall = float("inf")
-    for _ in range(3):
+        world.run(FLEET_SIM_S)
+        fast_walls.append(time.perf_counter() - start)
         tick_world = build_fleet(False)
         start = time.perf_counter()
         run_per_device(tick_world, FLEET_TICK_SLICE_S)
-        slice_wall = min(slice_wall,
-                         time.perf_counter() - start)
-    # Wall-clock per simulated second, extrapolated from the slice.
-    speedup = (slice_wall / FLEET_TICK_SLICE_S) / (fast_wall / FLEET_SIM_S)
+        slice_walls.append(time.perf_counter() - start)
+        # Wall-clock per simulated second, extrapolated from the slice.
+        ratios.append((slice_walls[-1] / FLEET_TICK_SLICE_S)
+                      / (fast_walls[-1] / FLEET_SIM_S))
+    fast_wall = statistics.median(fast_walls)
+    slice_wall = statistics.median(slice_walls)
+    speedup = statistics.median(ratios)
     return {
         "devices": FLEET_DEVICES,
         "simulated_s": FLEET_SIM_S,
@@ -502,6 +505,7 @@ def run_fleet() -> dict:
         "tick_slice_s": FLEET_TICK_SLICE_S,
         "tick_slice_wall_s": round(slice_wall, 3),
         "speedup_vs_tick": round(speedup, 2),
+        "speedup_vs_tick_pairs": [round(r, 2) for r in ratios],
         "macro_steps": world.macro_steps,
         "tick_steps": world.tick_steps,
         "fast_forwarded_ticks": world.fast_forwarded_ticks,

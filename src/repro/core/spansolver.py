@@ -23,9 +23,8 @@ Two solvers, picked per call:
 * **diagonal** — when no proportional tap feeds a reserve that itself
   drains proportionally (``A`` is effectively diagonal after dropping
   rows that only *receive*), each reserve solves independently:
-  ``L(t) = steady + (L0 - steady) * exp(-F t)``.  This is the scalar
-  closed form from PR 1, kept verbatim as the fast tier — it is a few
-  numpy vector ops with no linear algebra.
+  ``L(t) = steady + (L0 - steady) * exp(-F t)``.  It is the fast
+  tier — a few numpy vector ops with no linear algebra.
 * **coupled** — chained topologies (the paper's subdivision trees,
   ``clone_reserve`` backpressure, netd/GPS reserve trees) make ``A``
   genuinely triangular-or-worse.  The system is integrated with a
@@ -79,12 +78,26 @@ capacity, pinned-to-pinned pass-through cascades, a non-normal root,
 unlocatable or sub-resolution switch instants, and chains longer than
 :data:`MAX_SEGMENTS`.  Tick-by-tick is always correct, so the
 segmented engine never guesses.
+
+Two entry points run these steps: :meth:`SpanTier.execute` for one
+device and :func:`execute_span_batch` for a cohort stacked
+``(devices, reserves)``.  Below them each step exists once, written
+for a stack, and the one-device entry point runs it on a stack of
+one: the single-regime tiers with their bounds and commit
+(:func:`_single_regime`), the certify-first boundary
+(:func:`_debt_boundary`), the certificate
+(:meth:`_SegmentRegime.certify_batch`), the switch locator
+(:func:`_locate_switches`) and the commit bookkeeping
+(:func:`_commit_rows`).  Only the segment loops and their per-segment
+flows stay twinned, because on one device their stacked forms cost
+more than the scalar ones (docs/performance.md, "Two entry points, one
+copy of each step").
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -95,10 +108,6 @@ from . import segkernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .flowplan import FlowPlan
-
-#: Test hook: force the scaling-and-squaring path even when the
-#: eigendecomposition is healthy, so both expm code paths stay covered.
-FORCE_DENSE_EXPM = False
 
 #: Eigenbasis condition number above which eigendecomposition results
 #: are not trusted (defective or nearly-defective ``A``).
@@ -218,18 +227,6 @@ def _phi1(z: np.ndarray, ez: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _phi2(z: np.ndarray, ez: Optional[np.ndarray] = None) -> np.ndarray:
-    """``(e^z - 1 - z) / z^2`` with the removable singularity handled."""
-    out = np.full_like(z, 0.5)
-    small = np.abs(z) < 1e-3
-    zl = z[~small]
-    el = np.exp(zl) if ez is None else ez[~small]
-    out[~small] = (el - 1.0 - zl) / (zl * zl)
-    zs = z[small]
-    out[small] = 0.5 + zs / 6.0 + zs * zs / 24.0 + zs ** 3 / 120.0
-    return out
-
-
 def _phi12(z: np.ndarray
            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fused ``(e^z, phi1(z), phi2(z))`` — one exponential, one mask.
@@ -276,12 +273,14 @@ def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _eig_span_factors(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
                       b: np.ndarray, t: float) -> tuple:
-    """The level-independent operands of :func:`_eig_state_integral`.
+    """The level-independent operands of the eigenvalue propagation.
 
     ``(e^{wt}, phi1(wt), t·(phi1·cb), t²·(phi2·cb))`` with ``cb =
     V^-1 b``: each is a whole subexpression of the propagation
     formula in its own parenthesization, so a formula fed cached
     factors rounds exactly like one that computes them in place.
+    ``t`` is one span (:func:`_eig_state_integral`) or a ``(d, 1)``
+    column of per-row spans (:meth:`CoupledSystem.integrals`).
     """
     w, v, vinv = eig
     cb = vinv @ b
@@ -294,10 +293,7 @@ def _eig_state_integral(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
                         factors: tuple) -> Tuple[np.ndarray, np.ndarray]:
     """``(L(t), J(t))`` on the eigenvalue path of ``L' = A L + b``.
 
-    The one place the phi-function propagation formula lives: both the
-    per-epoch :class:`CoupledSystem` and the per-regime
-    :class:`_SegmentPropagator` delegate here, so the single-regime
-    and segmented tiers cannot drift apart.  ``factors`` is
+    A regime propagator's one-row segment solve.  ``factors`` is
     :func:`_eig_span_factors` of the same ``(eig, b, t)``, which the
     propagators cache per span length.
     """
@@ -311,7 +307,7 @@ def _eig_state_integral(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
 
 def _cached_propagate(system, lvl: np.ndarray,
                       t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``(L(t), J(t))`` of a :class:`CoupledSystem` or regime propagator.
+    """``(L(t), J(t))`` of a regime propagator (:class:`_SegmentPropagator`).
 
     Everything that depends only on the system and ``t`` — the
     eigenvalue path's exp/phi factors, or the Padé path's augmented
@@ -349,8 +345,7 @@ def _eig_states_batch(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
                       ts: np.ndarray) -> np.ndarray:
     """``L(t)`` over per-device grids: ``(g, n) x (g, k) -> (g, k, n)``.
 
-    The stacked form of :meth:`_SegmentPropagator.states` — the same
-    phi-function formula over a batch of initial conditions and a
+    The phi-function formula over a batch of initial conditions and a
     batch of sample grids, one shared eigendecomposition.
     """
     w, v, vinv = eig
@@ -372,6 +367,38 @@ def _eig_state_at_batch(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ez = np.exp(z)
     return ((ez * (lvls @ vinv.T)
              + t[:, None] * (_phi1(z, ez) * (vinv @ b))) @ v.T).real
+
+
+def _dense_states_batch(aug: np.ndarray, lvls: np.ndarray,
+                        ts: np.ndarray) -> np.ndarray:
+    """Padé twin of :func:`_eig_states_batch` on the augmented matrix.
+
+    Each row's grid must be uniform and start at its own spacing
+    (``ts[i, k] = (k+1)·dt_i``, the event scan's ``linspace``), so a
+    row pays one step exponential and propagates it along the grid
+    instead of one exponential per sample.
+    """
+    g, k = ts.shape
+    n = lvls.shape[1]
+    out = np.empty((g, k, n))
+    for i in range(g):
+        step = _expm(aug * (ts[i, 1] - ts[i, 0]))
+        state = np.concatenate([lvls[i], [1.0], np.zeros(n)])
+        for j in range(k):
+            state = step @ state
+            out[i, j] = state[:n]
+    return out
+
+
+def _dense_state_at_batch(aug: np.ndarray, lvls: np.ndarray,
+                          t: np.ndarray) -> np.ndarray:
+    """Padé twin of :func:`_eig_state_at_batch`: one exponential a row."""
+    n = lvls.shape[1]
+    out = np.empty(lvls.shape)
+    for i in range(lvls.shape[0]):
+        state = np.concatenate([lvls[i], [1.0], np.zeros(n)])
+        out[i] = (_expm(aug * t[i]) @ state)[:n]
+    return out
 
 
 def _eig_propagate_batch(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -455,21 +482,43 @@ class CoupledSystem:
         self.b = tier.const_in - tier.const_out
         self.n = n
         #: (eigenvalues, V, V^-1) when the eigenbasis is trusted.
-        self.eig: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        #: The tier's per-span cache, where :func:`_cached_propagate`
-        #: keeps this system's level-independent factors.
+        self.eig: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = \
+            _trusted_eig(self.a)
+        #: The tier's per-span cache, where :meth:`integrals` keeps
+        #: this system's level-independent factors.
         self.span_cache: Dict[tuple, object] = tier.span_cache
         #: Telemetry/testing: which solve path this system uses.
-        self.mode = "dense"
-        if not FORCE_DENSE_EXPM:
-            self.eig = _trusted_eig(self.a)
-            if self.eig is not None:
-                self.mode = "eig"
+        self.mode = "dense" if self.eig is None else "eig"
 
-    def propagate(self, lvl: np.ndarray,
-                  span: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``(L(span), J(span))`` where ``J = ∫_0^span L dt``."""
-        return _cached_propagate(self, lvl, span)
+    def integrals(self, lvl: np.ndarray, spans: np.ndarray) -> np.ndarray:
+        """``J(t_i) = ∫_0^{t_i} L dt`` per row of ``(d, n)`` levels.
+
+        ``spans`` holds each row's horizon ``t_i``.  A one-row stack
+        keeps the eigenvalue path's factors (:func:`_eig_span_factors`)
+        in the tier's span cache under ``(t, self)``; the dense path
+        has no elementwise-in-``t`` form, so it keeps one augmented
+        exponential per span value (:func:`_dense_propagator`) and
+        solves per-span sub-stacks (cohort buckets rarely carry more
+        than a handful of values).
+        """
+        d, n = lvl.shape
+        if self.eig is not None:
+            w, v, vinv = self.eig
+            spans_c = spans[:, None]
+            _, p1, _, drive_integ = _per_span(
+                self.span_cache, spans,
+                lambda: _eig_span_factors(self.eig, self.b, spans_c), self)
+            return ((spans_c * (p1 * (lvl @ vinv.T)) + drive_integ)
+                    @ v.T).real
+        state = np.concatenate([lvl, np.ones((d, 1)), np.zeros((d, n))],
+                               axis=1)
+        integ = np.empty((d, n))
+        for s_val in np.unique(spans):
+            s_val = float(s_val)
+            rows = spans == s_val
+            integ[rows] = (state[rows]
+                           @ _dense_propagator(self, s_val).T)[:, n + 1:]
+        return integ
 
 
 class _SegmentPropagator:
@@ -478,10 +527,11 @@ class _SegmentPropagator:
     Unlike :class:`CoupledSystem` (one system per topology epoch) a
     propagator describes one *regime* — the linear system left after a
     segment's pins and drops — and must answer trajectory queries at
-    arbitrary instants for event location.  The eigenvalue path makes
-    those queries a couple of matrix-vector products; the Padé path
-    pays one augmented-matrix exponential per query (regimes are
-    small, and event location runs only when a switch is near).
+    arbitrary instants for event location (:func:`_locate_switches`).
+    The eigenvalue path makes those queries a couple of matrix-vector
+    products; the Padé path pays one augmented-matrix exponential per
+    query (regimes are small, and event location runs only when a
+    switch is near).
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray,
@@ -489,45 +539,9 @@ class _SegmentPropagator:
         self.a = a
         self.b = b
         self.n = a.shape[0]
-        self.eig = None if FORCE_DENSE_EXPM else _trusted_eig(a)
+        self.eig = _trusted_eig(a)
         #: The owning tier's per-span cache (see _cached_propagate).
         self.span_cache = span_cache
-
-    def states(self, lvl: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """``L(t)`` stacked over a *uniform* ascending grid ``ts``.
-
-        The grid must start at its own spacing (``ts[k] = (k+1) * dt``)
-        — exactly the event scan's ``linspace`` — so the dense path can
-        propagate one per-step exponential instead of one per sample.
-        """
-        if self.eig is not None:
-            w, v, vinv = self.eig
-            c0 = vinv @ lvl
-            cb = vinv @ self.b
-            z = np.multiply.outer(ts, w)
-            ez = np.exp(z)
-            out = (ez * c0 + ts[:, None] * (_phi1(z, ez) * cb)) @ v.T
-            return out.real
-        n = self.n
-        dt = ts[0] if len(ts) == 1 else ts[1] - ts[0]
-        step = _expm(_augmented(self.a, self.b) * dt)
-        state = np.concatenate([lvl, [1.0], np.zeros(n)])
-        out = np.empty((len(ts), n))
-        for k in range(len(ts)):
-            state = step @ state
-            out[k] = state[:n]
-        return out
-
-    def state_at(self, lvl: np.ndarray, t: float) -> np.ndarray:
-        """``L(t)`` at one arbitrary instant (bisection queries)."""
-        if self.eig is not None:
-            w, v, vinv = self.eig
-            z = w * t
-            ez = np.exp(z)
-            return (v @ (ez * (vinv @ lvl)
-                         + t * (_phi1(z, ez) * (vinv @ self.b)))).real
-        state = np.concatenate([lvl, [1.0], np.zeros(self.n)])
-        return (_expm(_augmented(self.a, self.b) * t) @ state)[:self.n]
 
     def propagate(self, lvl: np.ndarray,
                   t: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -672,48 +686,15 @@ class _SegmentRegime:
             ok &= good | crossed_sat[:, m_i]
         return ok
 
-    def certify(self, lvl: np.ndarray, t: float, ltol: float,
-                crossed: np.ndarray,
-                crossed_sat: np.ndarray) -> bool:
-        """Scalar entry point over :meth:`certify_batch`."""
-        return bool(self.certify_batch(
-            lvl[None, :], np.array([t]), np.array([ltol]),
-            crossed[None, :], crossed_sat[None, :])[0])
-
-    def _violated(self, states: np.ndarray, ltol: float) -> np.ndarray:
-        """Per-sample ``True`` where any switch condition holds."""
-        return segkernel.violated_at(
-            states, self.clamp_rows, self.cap_rows, self.cap_limits,
-            self.debt_rows, np.full(states.shape[0], ltol), *self.sat)
-
-    def crossing_marks(self, state_hi: np.ndarray, ltol: float
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Which rows / saturation monitors violate at ``state_hi``."""
-        crossed = np.zeros(state_hi.shape[0], dtype=bool)
-        if self.clamp_rows.size:
-            rows = self.clamp_rows
-            crossed[rows[state_hi[rows] < -ltol]] = True
-        if self.cap_rows.size:
-            rows = self.cap_rows
-            crossed[rows[state_hi[rows] > self.cap_limits]] = True
-        if self.debt_rows.size:
-            rows = self.debt_rows
-            crossed[rows[state_hi[rows] > -ltol]] = True
-        sat_ptr, sat_src, sat_wts, sat_c, sat_lo, sat_hi, sat_tol = self.sat
-        crossed_sat = np.zeros(sat_c.shape[0], dtype=bool)
-        for m_i in range(sat_c.shape[0]):
-            y = sat_c[m_i]
-            for ti in range(int(sat_ptr[m_i]), int(sat_ptr[m_i + 1])):
-                y = y + sat_wts[ti] * state_hi[sat_src[ti]]
-            if (y < sat_lo[m_i] - sat_tol[m_i]
-                    or y > sat_hi[m_i] + sat_tol[m_i]):
-                crossed_sat[m_i] = True
-        return crossed, crossed_sat
-
     def crossing_marks_batch(self, state_hi: np.ndarray,
                              ltol: np.ndarray
                              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked :meth:`crossing_marks`: ``(g, n)`` states at once."""
+        """Which rows / saturation monitors violate at ``(g, n)`` states.
+
+        Marks each row's switch conditions at the state just past its
+        located instant; :meth:`certify_batch` excludes the marked
+        rows and monitors, because their switch *is* the boundary.
+        """
         g = state_hi.shape[0]
         crossed = np.zeros(state_hi.shape, dtype=bool)
         if self.clamp_rows.size:
@@ -735,47 +716,110 @@ class _SegmentRegime:
                                    | (y > sat_hi[m_i] + sat_tol[m_i]))
         return crossed, crossed_sat
 
-    def first_switch(self, lvl: np.ndarray, span: float, ltol: float
-                     ) -> Optional[Tuple[float, np.ndarray, np.ndarray]]:
-        """Earliest instant in ``(0, span]`` a switch condition fires.
 
-        Samples the closed-form trajectory on a uniform grid (the scan
-        itself runs in :mod:`repro.core.segkernel` — compiled when
-        numba is available), then bisects the first violating bracket
-        down to the propagator's resolution.  Returns ``(instant,
-        crossing-row mask, crossing-monitor mask)``: the instant is
-        the last *clean* time — integrating to it lands exactly on the
-        regime boundary — and the masks mark the rows and saturation
-        monitors violating just past it, which :meth:`certify`
-        excludes from the segment's no-switch certificate (their
-        switch *is* the boundary).  None means no sampled condition
-        fires; the caller still certifies the whole interval before
-        committing.
-        """
-        if not self.has_monitors:
-            return None
-        ts = np.linspace(span / EVENT_SAMPLES, span, EVENT_SAMPLES)
-        first = int(segkernel.first_hits(
-            self.system.states(lvl, ts)[None, :, :], self.clamp_rows,
-            self.cap_rows, self.cap_limits, self.debt_rows,
-            np.array([ltol]), *self.sat)[0])
-        if first < 0:
-            return None
-        lo = 0.0 if first == 0 else float(ts[first - 1])
-        hi = float(ts[first])
-        floor = max(1e-12 * span, 1e-15)
-        for _ in range(64):
-            if hi - lo <= floor:
-                break
-            mid = 0.5 * (lo + hi)
-            state = self.system.state_at(lvl, mid)
-            if self._violated(state[None, :], ltol)[0]:
-                hi = mid
-            else:
-                lo = mid
-        crossed, crossed_sat = self.crossing_marks(
-            self.system.state_at(lvl, hi), ltol)
-        return lo, crossed, crossed_sat
+def _debt_boundary(regime: _SegmentRegime, lvls: np.ndarray,
+                   rem: np.ndarray, ltol: np.ndarray
+                   ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The certify-first candidate boundary of ``(g, n)`` rows, or None.
+
+    Most segments are quiet (no switch inside them), and for those the
+    no-switch certificate alone is enough — the sampled scan of
+    :func:`_locate_switches` never needs to run.  Debt repayments are
+    the one monitor the certificate does not cover, but a purely
+    constant-fed debt row is linear (``L = L0 + b t``), so its
+    crossing is analytic: a row's candidate is its earliest such
+    crossing (or ``rem``), and the certificate rules out every
+    clamp/cap/saturation switch before it.
+
+    Returns ``(candidate, early, crossed)``: ``early`` marks rows whose
+    candidate falls before ``rem``, ``crossed`` the debt rows crossing
+    at an early candidate.  None when a debt row takes proportional
+    inflow (its crossing is not analytic).
+    """
+    if regime.debt_rows.size and not regime.debt_linear.all():
+        return None
+    cand = rem.copy()
+    crossings = []
+    for row, slope in zip(regime.debt_rows.tolist(),
+                          regime.debt_slope.tolist()):
+        if slope > 0.0:
+            t_star = (-ltol - lvls[:, row]) / slope
+            np.minimum(cand, t_star, out=cand)
+            crossings.append((row, t_star))
+    early = cand < rem
+    crossed = np.zeros(lvls.shape, dtype=bool)
+    for row, t_star in crossings:
+        crossed[:, row] = early & (t_star <= cand * (1.0 + 1e-12))
+    return cand, early, crossed
+
+
+def _locate_switches(regime: _SegmentRegime, lvls: np.ndarray,
+                     rem: np.ndarray, ltol: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+    """Earliest instant in each row's ``(0, rem_i]`` a switch fires.
+
+    Samples each row's closed-form trajectory on a uniform grid (the
+    scan runs in :mod:`repro.core.segkernel` — compiled when numba is
+    available), then bisects each first violating bracket down to
+    ``1e-12·rem_i``.  Trajectories come from the regime's propagator:
+    its eigendecomposition when trusted, otherwise one Padé step
+    exponential per row for the grid and one exponential per
+    bisection query.
+
+    Returns ``(instant, located, crossed, crossed_sat)`` per row.  A
+    located instant is the last *clean* time — integrating to it lands
+    exactly on the regime boundary — and the masks mark the rows and
+    saturation monitors violating just past it, which
+    :meth:`_SegmentRegime.certify_batch` excludes from the segment's
+    certificate (their switch *is* the boundary).  A row where no
+    sampled condition fires keeps ``instant = rem_i``, unlocated with
+    empty masks; the caller still certifies the whole interval before
+    committing.
+    """
+    g, n = lvls.shape
+    instant = rem.copy()
+    located = np.zeros(g, dtype=bool)
+    crossed = np.zeros((g, n), dtype=bool)
+    crossed_sat = np.zeros((g, regime.sat[3].shape[0]), dtype=bool)
+    if not regime.has_monitors:
+        return instant, located, crossed, crossed_sat
+    system = regime.system
+    if system.eig is not None:
+        grid = partial(_eig_states_batch, system.eig, system.b)
+        at = partial(_eig_state_at_batch, system.eig, system.b)
+    else:
+        aug = _augmented(system.a, system.b)
+        grid = partial(_dense_states_batch, aug)
+        at = partial(_dense_state_at_batch, aug)
+    monitors = (regime.clamp_rows, regime.cap_rows, regime.cap_limits,
+                regime.debt_rows)
+    ts = np.linspace(rem / EVENT_SAMPLES, rem, EVENT_SAMPLES, axis=1)
+    first = segkernel.first_hits(grid(lvls, ts), *monitors, ltol,
+                                 *regime.sat)
+    hits = np.flatnonzero(first >= 0)
+    if not hits.size:
+        return instant, located, crossed, crossed_sat
+    f_i = first[hits]
+    lo = np.where(f_i == 0, 0.0, ts[hits, np.maximum(f_i - 1, 0)])
+    hi = ts[hits, f_i]
+    floor = np.maximum(1e-12 * rem[hits], 1e-15)
+    sub_lvls = lvls[hits]
+    sub_lt = ltol[hits]
+    for _ in range(64):
+        open_ = (hi - lo) > floor
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        viol = segkernel.violated_at(at(sub_lvls, mid), *monitors,
+                                     sub_lt, *regime.sat)
+        hi = np.where(open_ & viol, mid, hi)
+        lo = np.where(open_ & ~viol, mid, lo)
+    instant[hits] = lo
+    located[hits] = True
+    crossed[hits], crossed_sat[hits] = regime.crossing_marks_batch(
+        at(sub_lvls, hi), sub_lt)
+    return instant, located, crossed, crossed_sat
 
 
 class SpanTier:
@@ -798,6 +842,9 @@ class SpanTier:
             else:
                 self.prop_out[s] += r
                 self.prop_sink_mask[k] = True
+        #: Each tap's constant rate, zero on proportional taps: a span
+        #: of ``t`` moves ``t * const_rate`` through the constant taps.
+        self.const_rate = np.where(plan.const_mask, plan.rate, 0.0)
         #: Constant feeds (tap indices, creation order) that land
         #: *before* their sink's first constant drain.  Within every
         #: tick these deposit ahead of the drain, so — provided the
@@ -988,12 +1035,6 @@ class SpanTier:
             safe = refined  # monotone: deficit only shrinks
         return safe.all(axis=1)
 
-    def _clamp_bound_ok(self, lvl: np.ndarray, span: float,
-                        f: np.ndarray, linear: np.ndarray) -> bool:
-        """Scalar entry point over :meth:`_clamp_safe_rows`."""
-        return bool(self._clamp_safe_rows(lvl[None, :], span, f,
-                                          linear)[0])
-
     def _clamp_factors(self, spans: np.ndarray, f: np.ndarray,
                        linear: np.ndarray) -> tuple:
         """The clamp bound's per-span constants for ``(d, 1)`` spans.
@@ -1055,9 +1096,9 @@ class SpanTier:
         Returns total tap flow, or None when no closed form applies
         (caller must tick instead); a None return mutates nothing.
 
-        The single-regime tiers run first, verbatim (their arithmetic
-        carries bit-identical contracts); whenever they would have
-        refused — debt entry, a possible mid-span clamp, capacity
+        The one-device entry point.  The single-regime tiers run
+        first, on a stack of one (:func:`_single_regime`); whenever
+        they refuse — debt entry, a possible mid-span clamp, capacity
         pressure — the span falls through to the segmented engine,
         which integrates regime to regime across the switch instants
         and only refuses the residual shapes it cannot rewrite.  A
@@ -1068,138 +1109,18 @@ class SpanTier:
         policy = plan.graph.decay_policy
         lam = policy.lam if policy.enabled else 0.0
         lvl = plan._gather_levels()
-        if np.any(lvl < 0.0):
-            # Debt entry: the max(L, 0) nonlinearity is itself a
-            # regime — repayment segments instead of refusing.
-            return self._execute_segmented(span, lam, lvl)
-        f, linear, coupled, cap_may_bind = self._dynamics(lam)
-        result: Optional[float] = None
-        if self._must_segment(lvl, span, f, linear):
-            result = None  # an empty row will clamp: locate the instants
-        elif coupled:
-            result = self._execute_coupled(span, lam, lvl, f, linear)
-        elif cap_may_bind:
-            result = None  # a capacity could bind: locate the instant
-        elif not self._clamp_bound_ok(lvl, span, f, linear):
-            result = None  # a drain could clamp: locate the instant
-        else:
-            result = self._execute_diagonal(span, lam, lvl, f, linear)
-        if result is None:
-            result = self._execute_segmented(span, lam, lvl)
-        return result
-
-    # -- the diagonal fast tier (PR 1's scalar closed form, verbatim) --------------
-
-    def _execute_diagonal(self, span: float, lam: float, lvl: np.ndarray,
-                          f: np.ndarray, linear: np.ndarray
-                          ) -> Optional[float]:
-        plan = self.plan
-        n = len(plan.reserves)
-        decay_f = np.exp(-f * span)  # == 1 exactly where F == 0
-        net_const = self.const_in - self.const_out
-        steady = np.divide(net_const, f, out=np.zeros(n), where=linear)
-        end = np.where(linear, steady + (lvl - steady) * decay_f,
-                       lvl + net_const * span)
-        # Mass balance: everything a linear reserve lost to its
-        # proportional drains and decay over the span.
-        drain = np.where(linear, lvl - end + net_const * span, 0.0)
-        drain = np.maximum(drain, 0.0)
-
-        moved = np.zeros(len(plan.taps))
-        if plan.const_taps.size:
-            moved[plan.const_taps] = plan.rate[plan.const_taps] * span
-        if plan.prop_taps.size:
-            psrc = plan.src[plan.prop_taps]
-            share = np.divide(plan.rate[plan.prop_taps], f[psrc],
-                              out=np.zeros(plan.prop_taps.size),
-                              where=f[psrc] > 0)
-            moved[plan.prop_taps] = drain[psrc] * share
-            end += np.bincount(plan.snk[plan.prop_taps],
-                               weights=moved[plan.prop_taps], minlength=n)
-        lost = np.zeros(n)
-        reclaimed = 0.0
-        if lam > 0.0 and plan.any_decayable:
-            lost = np.where(linear & plan.decay_mask,
-                            drain * np.divide(lam, f, out=np.zeros(n),
-                                              where=linear), 0.0)
-            reclaimed = float(lost.sum())
-            end[plan.root_index] += reclaimed
-        self.diagonal_solves += 1
-        return self._commit(end, moved, lost, reclaimed)
-
-    # -- the coupled tier (matrix exponential) --------------------------------------
-
-    def _execute_coupled(self, span: float, lam: float, lvl: np.ndarray,
-                         f: np.ndarray, linear: np.ndarray
-                         ) -> Optional[float]:
-        plan = self.plan
-        n = len(plan.reserves)
-        # Capacity pressure: bound each trajectory's maximum.  Since
-        # mass is conserved and levels stay non-negative, every level
-        # is bounded by the total mass; refining through
-        # ``U <- lvl + span * (const_in + P_prop @ U)`` keeps a sound
-        # pointwise bound at each iterate (inflow integrated at the
-        # previous bound, outflow ignored), and the elementwise best
-        # over a few iterates is tight enough for realistic headroom.
-        if plan.finite_cap.size:
-            cap_idx = plan.finite_cap
-            mass = float(lvl.sum())  # all levels >= 0 here
-            psrc = plan.src[plan.prop_taps]
-            psnk = plan.snk[plan.prop_taps]
-            prate = plan.rate[plan.prop_taps]
-            best = np.full(n, mass)
-            for _ in range(6):
-                inflow = self.const_in.copy()
-                if prate.size:
-                    inflow += np.bincount(psnk, weights=prate * best[psrc],
-                                          minlength=n)
-                if lam > 0.0 and plan.any_decayable:
-                    inflow[plan.root_index] += lam * float(
-                        best[plan.decay_mask].sum())
-                best = np.minimum(best, lvl + inflow * span)
-            if np.any(best[cap_idx] > plan.capacity[cap_idx] - 1e-12):
-                return None
-        if not self._clamp_bound_ok(lvl, span, f, linear):
-            return None
-
-        system = self._coupled.get(lam)
-        if system is None:
-            system = CoupledSystem(self, lam)
-            if len(self._coupled) > 4:  # decay toggles are rare
-                self._coupled.clear()
-            self._coupled[lam] = system
-        integ = np.maximum(system.propagate(lvl, span)[1], 0.0)
-
-        moved = np.zeros(len(plan.taps))
-        if plan.const_taps.size:
-            moved[plan.const_taps] = plan.rate[plan.const_taps] * span
-        if plan.prop_taps.size:
-            psrc = plan.src[plan.prop_taps]
-            moved[plan.prop_taps] = plan.rate[plan.prop_taps] * integ[psrc]
-        lost = np.zeros(n)
-        reclaimed = 0.0
-        if lam > 0.0 and plan.any_decayable:
-            lost = np.where(plan.decay_mask, lam * integ, 0.0)
-            reclaimed = float(lost.sum())
-        # Commit levels by mass balance from the integrated flows, not
-        # the ODE output: conservation is then exact by construction
-        # (the two agree analytically; float-wise they differ in the
-        # last ulps, and mass balance is the one the audits check).
-        end = (lvl
-               + np.bincount(plan.snk, weights=moved, minlength=n)
-               - np.bincount(plan.src, weights=moved, minlength=n)
-               - lost)
-        end[plan.root_index] += reclaimed
-        neg = np.minimum(end, 0.0)
-        if float(neg.sum()) < -NEGATIVE_LEVEL_SLACK:
-            return None  # bounds should preclude this; never guess
-        if neg.any():
-            # Float dust on near-empty reserves: clamp to zero and let
-            # the root absorb the difference so the books still balance.
-            end -= neg
-            end[plan.root_index] += float(neg.sum())
-        self.coupled_solves += 1
-        return self._commit(end, moved, lost, reclaimed)
+        # Debt entry goes straight to the segmented engine: the
+        # max(L, 0) nonlinearity is itself a regime — repayment
+        # segments instead of refusing.
+        if not np.any(lvl < 0.0):
+            f, linear = self._dynamics(lam)[:2]
+            if not self._must_segment(lvl, span, f, linear):
+                results: List[Optional[float]] = [None]
+                if not _single_regime([self], np.array([span], dtype=float),
+                                      lam, lvl[None, :],
+                                      np.zeros(1, dtype=bool), results)[0]:
+                    return results[0]
+        return self._execute_segmented(span, lam, lvl)
 
     # -- the segmented engine (piecewise-linear regime switching) ------------------
 
@@ -1212,8 +1133,11 @@ class SpanTier:
         — happens at one locatable instant; between two instants the
         dynamics are plain ``L' = A L + b`` for the regime's reduced
         system.  The loop derives the regime from the working levels,
-        locates the earliest switch, integrates exactly to it, and
-        repeats on the rewritten system until the span is consumed.
+        takes the certify-first boundary (:func:`_debt_boundary`) or
+        locates the earliest switch (:func:`_locate_switches`),
+        integrates exactly to it, and repeats on the rewritten system
+        until the span is consumed.  Those steps run on a stack of one;
+        :func:`_batch_segmented` is this loop's stacked twin.
 
         Everything is *staged*: per-segment flows, decay losses and the
         working levels accumulate on copies, and only a fully solved
@@ -1230,6 +1154,7 @@ class SpanTier:
         lvl = lvl.copy()  # staged: the caller's gather stays pristine
         scale = max(1.0, float(np.abs(lvl).max()))
         ltol = 1e-11 * scale
+        ltols = np.array([ltol])
         def absorb_dust() -> None:
             # Float dust from a located crossing: clamp to zero and
             # let the root absorb the difference (same book-balancing
@@ -1255,55 +1180,27 @@ class SpanTier:
             if regime is None:
                 return None
             t0 = perf_counter()
-            # Certify-first fast path: most segments are quiet (no
-            # switch inside them), and for those the no-switch
-            # certificate alone is enough — the 96-sample scan never
-            # needs to run.  Debt repayments are the one monitor the
-            # certificate does not cover, but a purely constant-fed
-            # debt row is linear (``L = L0 + b t``), so its crossing
-            # is analytic; the candidate boundary is the earliest
-            # such crossing (or the span end) and the certificate
-            # rules out every clamp/cap/saturation switch before it.
+            lvls = lvl[None, :]
+            rem = np.array([remaining])
             seg = None
-            if not regime.debt_rows.size or bool(regime.debt_linear.all()):
-                t_cand = remaining
-                for r_i in range(regime.debt_rows.shape[0]):
-                    slope = float(regime.debt_slope[r_i])
-                    if slope > 0.0:
-                        row = int(regime.debt_rows[r_i])
-                        t_star = (-ltol - lvl[row]) / slope
-                        if t_star < t_cand:
-                            t_cand = t_star
-                crossed = np.zeros(n, dtype=bool)
-                if t_cand < remaining:
-                    for r_i in range(regime.debt_rows.shape[0]):
-                        slope = float(regime.debt_slope[r_i])
-                        if slope <= 0.0:
-                            continue
-                        row = int(regime.debt_rows[r_i])
-                        if ((-ltol - lvl[row]) / slope
-                                <= t_cand * (1.0 + 1e-12)):
-                            crossed[row] = True
-                crossed_sat = np.zeros(regime.sat[3].shape[0],
+            boundary = _debt_boundary(regime, lvls, rem, ltols)
+            if boundary is not None:
+                t_cand, early, crossed = boundary
+                crossed_sat = np.zeros((1, regime.sat[3].shape[0]),
                                        dtype=bool)
-                if t_cand >= min_seg and regime.certify(
-                        lvl, t_cand, ltol, crossed, crossed_sat):
-                    seg = (t_cand, crossed, crossed_sat,
-                           t_cand < remaining)
+                if t_cand[0] >= min_seg and regime.certify_batch(
+                        lvls, t_cand, ltols, crossed, crossed_sat)[0]:
+                    seg = (float(t_cand[0]), bool(early[0]))
             if seg is None:
-                switch = regime.first_switch(lvl, remaining, ltol)
-                if switch is None:
-                    seg = (remaining, np.zeros(n, dtype=bool),
-                           np.zeros(regime.sat[3].shape[0],
-                                    dtype=bool), False)
-                else:
-                    seg = (switch[0], switch[1], switch[2], True)
-                if seg[0] < min_seg:
+                t_seg, located, crossed, crossed_sat = _locate_switches(
+                    regime, lvls, rem, ltols)
+                if t_seg[0] < min_seg:
                     return None  # coincident events: no progress
-                if not regime.certify(lvl, seg[0], ltol, seg[1],
-                                      seg[2]):
+                if not regime.certify_batch(lvls, t_seg, ltols, crossed,
+                                            crossed_sat)[0]:
                     return None  # sub-sample excursion not ruled out
-            seg_span, crossed, crossed_sat, located = seg
+                seg = (float(t_seg[0]), bool(located[0]))
+            seg_span, located = seg
             locate_wall += perf_counter() - t0
             t0 = perf_counter()
             step = self._integrate_segment(regime, lvl, seg_span, lam)
@@ -1325,7 +1222,13 @@ class SpanTier:
         graph.span_locate_wall_s += locate_wall
         graph.span_integrate_wall_s += integrate_wall
         self.segmented_solves += 1
-        return self._commit(lvl, moved, lost, reclaimed)
+        results: List[Optional[float]] = [None]
+        _commit_rows([self], (True,), lvl[None, :], moved[None, :],
+                     lost[None, :], (reclaimed,),
+                     np.bincount(plan.snk, weights=moved, minlength=n)[None],
+                     np.bincount(plan.src, weights=moved, minlength=n)[None],
+                     results)
+        return results[0]
 
     def _regime_for(self, lvl: np.ndarray, lam: float,
                     ltol: float) -> Optional[_SegmentRegime]:
@@ -1944,45 +1847,6 @@ class SpanTier:
             return None  # the located switch should preclude this
         return end, moved, lost, reclaimed
 
-    # -- batched entry points (cohort fleets) -----------------------------------------
-
-    def batch_clamp_ok(self, lvl: np.ndarray, span: float,
-                       f: np.ndarray, linear: np.ndarray) -> np.ndarray:
-        """Per-row :meth:`_clamp_safe_rows` over stacked levels."""
-        return self._clamp_safe_rows(lvl, span, f, linear)
-
-    # -- shared commit ---------------------------------------------------------------
-
-    def _commit(self, end: np.ndarray, moved: np.ndarray,
-                lost: np.ndarray, reclaimed: float) -> float:
-        plan = self.plan
-        n = len(plan.reserves)
-        in_sum = np.bincount(plan.snk, weights=moved, minlength=n)
-        out_sum = np.bincount(plan.src, weights=moved, minlength=n)
-        for reserve, lv, o, i_, ls in zip(plan.reserves, end.tolist(),
-                                          out_sum.tolist(), in_sum.tolist(),
-                                          lost.tolist()):
-            reserve._level = lv
-            if o:
-                reserve.total_transferred_out += o
-            if i_:
-                reserve.total_transferred_in += i_
-            if ls:
-                reserve.total_decayed += ls
-        if reclaimed:
-            plan.graph.root.total_deposited += reclaimed
-            plan.graph.decay_policy.total_reclaimed += reclaimed
-        if plan.owns_slots:
-            plan._tap_flow_acc += moved
-        else:
-            # Span-cache plans never own the taps' accumulator slots
-            # (the tick plan does); fold flows straight into the taps.
-            for j in np.flatnonzero(moved):
-                tap = plan.taps[j]
-                tap.total_flowed = tap.total_flowed + moved[j]
-        return float(moved.sum())
-
-
 # ---------------------------------------------------------------------------
 # cohort-batched span execution (fleets of structurally identical graphs)
 # ---------------------------------------------------------------------------
@@ -2012,12 +1876,17 @@ def _commit_rows(tiers: List[SpanTier], ok: np.ndarray, end: np.ndarray,
                  reclaimed: np.ndarray, in_sum: np.ndarray,
                  out_sum: np.ndarray,
                  results: List[Optional[float]]) -> None:
-    """Commit a stacked solve device by device (bulk conversions).
+    """Commit the ``ok`` rows of a stacked solve, device by device.
 
-    The bookkeeping is exactly :meth:`SpanTier._commit` per row; the
-    whole-stack ``tolist`` conversions replace thousands of per-device
-    numpy round-trips — at fleet scale the conversion overhead was a
-    visible fraction of the solve.
+    The one commit of the span tier: both entry points' single-regime
+    solves and segment chains land here (the one-device entry point
+    as a stack of one).  Row ``i`` writes ``tiers[i]``'s levels, transfer
+    and decay totals, the root's reclaim and the taps' flows, and
+    stores its total flow in ``results[i]``.  The whole-stack
+    ``tolist`` conversions replace thousands of per-device numpy
+    round-trips — at fleet scale the conversion overhead was a visible
+    fraction of the solve — and the per-row work stays inline in the
+    loop, because a helper call per row measurably slows fleets.
     """
     end_l = end.tolist()
     in_l = in_sum.tolist()
@@ -2064,34 +1933,20 @@ def execute_span_batch(tiers: List[SpanTier],
     system over different initial conditions.  ``span`` is either one
     shared horizon or a ``(n_devices,)`` vector of **per-device**
     horizons (the fleet frontier's event-time buckets): devices at
-    different clocks still share one
-    eigendecomposition and one stacked switch-location scan, because
-    every propagation formula is elementwise in ``t`` — only the
-    dense Padé fallback keys a propagator per span value and solves
-    per-span sub-stacks.  A vector of equal spans is bit-identical to
-    the scalar call.  Levels stack into one ``(n_devices,
-    n_reserves)`` array:
+    different clocks still share one eigendecomposition and one
+    stacked switch-location scan, because every propagation formula is
+    elementwise in ``t`` — only the dense Padé fallback keys a
+    propagator per span value and solves per-span sub-stacks.  A
+    vector of equal spans is bit-identical to the scalar call.
 
-    * the **diagonal** tier runs PR 1's scalar closed form elementwise
-      across the stack — bit-identical per device to the per-device
-      solve, since every operation is elementwise or a per-row
-      bincount in the same order;
-    * the **coupled** tier reuses a *single* eigendecomposition (or
-      Padé propagator) from the lead tier's cached
-      :class:`CoupledSystem` across the cohort's stacked ``L0`` — one
-      factorization and a couple of matrix-matrix products instead of
-      ``n_devices`` separate solves.  Levels commit by per-device mass
-      balance, so conservation stays exact regardless of how the
-      stacked linear algebra rounded.
-
-    Switching devices (mid-span clamp, capacity pressure, debt entry)
-    are no longer demoted wholesale: they collect into a **batched
-    segment chain** (:func:`_batch_segmented`) that runs the scalar
-    segmented engine's pipeline over the whole switching sub-cohort at
-    once, with per-device segment clocks.  Only genuinely unsupported
-    shapes come back ``None`` — nothing of those devices mutated — and
-    the caller falls back to the scalar path (which may itself refuse
-    into ticking), exactly as before.
+    The cohort entry point.  Levels stack into one ``(n_devices,
+    n_reserves)`` array and run the single-regime tiers
+    (:func:`_single_regime`); devices those refuse (mid-span clamp,
+    capacity pressure, debt entry) collect into the **batched segment
+    chain** (:func:`_batch_segmented`), with per-device segment
+    clocks.  Only genuinely unsupported shapes come back ``None`` —
+    nothing of those devices mutated — and the caller falls back to
+    the one-device path (which may itself refuse into ticking).
     """
     lead = tiers[0]
     plan = lead.plan
@@ -2100,34 +1955,63 @@ def execute_span_batch(tiers: List[SpanTier],
     policy = plan.graph.decay_policy
     lam = policy.lam if policy.enabled else 0.0
     spans = np.broadcast_to(np.asarray(span, dtype=float), (d,))
-    spans_c = spans[:, None]
     lvl = np.empty((d, n))
     for i, tier in enumerate(tiers):
         lvl[i] = tier.plan._gather_levels()
     results: List[Optional[float]] = [None] * d
-    seg = np.any(lvl < 0.0, axis=1)  # debt entry: a regime, not a refusal
-    ok = ~seg
-    f, linear, coupled, cap_may_bind = lead._dynamics(lam)
-    if not coupled:
-        # A capacity that can bind has no single-regime closed form;
-        # this is a topology property, so every device runs the
-        # segment chain (which certifies or locates the binding).
-        if cap_may_bind:
-            seg |= ok
-            ok[:] = False
-        if ok.any():
-            clamp_ok = lead.batch_clamp_ok(lvl, spans, f, linear)
-            seg |= ok & ~clamp_ok
-            ok &= clamp_ok
-        if ok.any():
-            _batch_diagonal(tiers, spans, lam, lvl, f, linear, ok, results)
-        if seg.any():
-            _batch_segmented(tiers, spans, lam, lvl,
-                             np.flatnonzero(seg), results)
-        return results
+    # debt entry: a regime, not a refusal
+    seg = _single_regime(tiers, spans, lam, lvl,
+                         np.any(lvl < 0.0, axis=1), results)
+    if seg.any():
+        _batch_segmented(tiers, spans, lam, lvl, np.flatnonzero(seg),
+                         results)
+    return results
 
-    # -- coupled cohort --------------------------------------------------------
-    if plan.finite_cap.size and ok.any():
+
+def _single_regime(tiers: List[SpanTier], spans: np.ndarray, lam: float,
+                   lvl: np.ndarray, seg: np.ndarray,
+                   results: List[Optional[float]]) -> np.ndarray:
+    """The single-regime tiers over stacked ``(d, n)`` levels.
+
+    ``spans`` holds each row's horizon and ``seg`` marks rows already
+    bound for the segment chain (debt entry).  Every other row whose
+    bounds hold over its span is solved in one linear regime and
+    committed into ``results``; the returned mask marks the rows left
+    for the segmented engine — a capacity that could bind, a drain
+    that could clamp, or span-end negativity beyond float dust.
+
+    * the **diagonal** tier solves each reserve in closed form,
+      elementwise across the stack (a row rounds the same in any
+      stack: every operation is elementwise or a per-row ``bincount``
+      in tap order);
+    * the **coupled** tier reuses a *single* eigendecomposition (or
+      Padé propagator) of the lead tier's cached
+      :class:`CoupledSystem` across the stacked ``L0`` — one
+      factorization and a couple of matrix products instead of ``d``
+      separate solves (:meth:`CoupledSystem.integrals`).
+
+    Levels commit by per-row mass balance, so conservation stays exact
+    however the linear algebra rounded.
+    """
+    lead = tiers[0]
+    plan = lead.plan
+    d, n = lvl.shape
+    spans_c = spans[:, None]
+    f, linear, coupled, cap_may_bind = lead._dynamics(lam)
+    if cap_may_bind and not coupled:
+        # A capacity that can bind has no single-regime closed form;
+        # this is a topology property, so every row runs the segment
+        # chain (which certifies or locates the binding).
+        return np.ones(d, dtype=bool)
+    ok = ~seg
+    if coupled and plan.finite_cap.size:
+        # Capacity pressure: bound each trajectory's maximum.  Since
+        # mass is conserved and levels stay non-negative, every level
+        # is bounded by the total mass; refining through ``U <- lvl +
+        # span * (const_in + P_prop @ U)`` keeps a sound pointwise
+        # bound at each iterate (inflow integrated at the previous
+        # bound, outflow ignored), and the elementwise best over a few
+        # iterates is tight enough for realistic headroom.
         cap_idx = plan.finite_cap
         mass = np.maximum(lvl, 0.0).sum(axis=1)
         psrc = plan.src[plan.prop_taps]
@@ -2146,143 +2030,88 @@ def execute_span_batch(tiers: List[SpanTier],
                 inflow[:, plan.root_index] += lam * best[
                     :, plan.decay_mask].sum(axis=1)
             best = np.minimum(best, lvl + inflow * spans_c)
-        cap_ok = ~np.any(best[:, cap_idx] > plan.capacity[cap_idx] - 1e-12,
-                         axis=1)
-        seg |= ok & ~cap_ok
-        ok &= cap_ok
-    if ok.any():
-        clamp_ok = lead.batch_clamp_ok(lvl, spans, f, linear)
-        seg |= ok & ~clamp_ok
-        ok &= clamp_ok
+        ok &= ~np.any(best[:, cap_idx] > plan.capacity[cap_idx] - 1e-12,
+                      axis=1)
+    ok &= lead._clamp_safe_rows(lvl, spans, f, linear)
     if not ok.any():
-        if seg.any():
-            _batch_segmented(tiers, spans, lam, lvl,
-                             np.flatnonzero(seg), results)
-        return results
+        return ~ok
 
-    system = lead._coupled.get(lam)
-    if system is None:
-        system = CoupledSystem(lead, lam)
-        if len(lead._coupled) > 4:  # decay toggles are rare
-            lead._coupled.clear()
-        lead._coupled[lam] = system
-    if system.eig is not None:
-        w, v, vinv = system.eig
-        c0 = lvl @ vinv.T            # (d, n) in the eigenbasis
-        cb = vinv @ system.b
-        z = spans_c * w              # (d, n): per-row horizons
-        _, p1, p2 = _phi12(z)
-        integ = ((spans_c * (p1 * c0)
-                  + (spans_c * spans_c) * (p2 * cb)) @ v.T).real
+    moved = spans_c * lead.const_rate
+    lost = np.zeros((d, n))
+    reclaimed = np.zeros(d)
+    decays = lam > 0.0 and plan.any_decayable
+    psrc = plan.src[plan.prop_taps]
+    if coupled:
+        system = lead._coupled.get(lam)
+        if system is None:
+            system = CoupledSystem(lead, lam)
+            if len(lead._coupled) > 4:  # decay toggles are rare
+                lead._coupled.clear()
+            lead._coupled[lam] = system
+        integ = np.maximum(system.integrals(lvl, spans), 0.0)
+        if plan.prop_taps.size:
+            moved[:, plan.prop_taps] = (plan.rate[plan.prop_taps]
+                                        * integ[:, psrc])
+        if decays:
+            lost = np.where(plan.decay_mask, lam * integ, 0.0)
+            reclaimed = lost.sum(axis=1)
     else:
-        # The dense path has no elementwise-in-t form: one Padé
-        # propagator serves one span value, so heterogeneous-horizon
-        # stacks solve per span value (cohort buckets rarely carry
-        # more than a handful).
-        state = np.concatenate(
-            [lvl, np.ones((d, 1)), np.zeros((d, n))], axis=1)
-        integ = np.empty((d, n))
-        for s_val in np.unique(spans):
-            s_val = float(s_val)
-            propagator = _dense_propagator(system, s_val)
-            rows = spans == s_val
-            integ[rows] = (state[rows] @ propagator.T)[:, n + 1:]
-    integ = np.maximum(integ, 0.0)
-
-    m = len(plan.taps)
-    moved = np.zeros((d, m))
-    if plan.const_taps.size:
-        moved[:, plan.const_taps] = plan.rate[plan.const_taps] * spans_c
-    if plan.prop_taps.size:
-        psrc = plan.src[plan.prop_taps]
-        moved[:, plan.prop_taps] = plan.rate[plan.prop_taps] * integ[:, psrc]
-    lost = np.zeros((d, n))
-    reclaimed = np.zeros(d)
-    if lam > 0.0 and plan.any_decayable:
-        lost = np.where(plan.decay_mask, lam * integ, 0.0)
-        reclaimed = lost.sum(axis=1)
+        decay_f = np.exp(-spans_c * f)  # == 1 exactly where F == 0
+        net_const = lead.const_in - lead.const_out
+        steady = np.divide(net_const, f, out=np.zeros(n), where=linear)
+        end = np.where(linear, steady + (lvl - steady) * decay_f,
+                       lvl + net_const * spans_c)
+        # Mass balance: everything a linear reserve lost to its
+        # proportional drains and decay over the span.
+        drain = np.where(linear, lvl - end + net_const * spans_c, 0.0)
+        drain = np.maximum(drain, 0.0)
+        if plan.prop_taps.size:
+            share = np.divide(plan.rate[plan.prop_taps], f[psrc],
+                              out=np.zeros(plan.prop_taps.size),
+                              where=f[psrc] > 0)
+            moved[:, plan.prop_taps] = drain[:, psrc] * share
+            flat = (_flat_indices(plan, d)[2]
+                    + plan.snk[plan.prop_taps]).ravel()
+            end += np.bincount(flat,
+                               weights=moved[:, plan.prop_taps].ravel(),
+                               minlength=d * n).reshape(d, n)
+        if decays:
+            lost = np.where(linear & plan.decay_mask,
+                            drain * np.divide(lam, f, out=np.zeros(n),
+                                              where=linear), 0.0)
+            reclaimed = lost.sum(axis=1)
+            end[:, plan.root_index] += reclaimed
     flat_src, flat_snk, _ = _flat_indices(plan, d)
     in_sum = np.bincount(flat_snk, weights=moved.ravel(),
                          minlength=d * n).reshape(d, n)
     out_sum = np.bincount(flat_src, weights=moved.ravel(),
                           minlength=d * n).reshape(d, n)
-    end = lvl + in_sum - out_sum - lost
-    end[:, plan.root_index] += reclaimed
-    neg = np.minimum(end, 0.0)
-    neg_rows = neg.sum(axis=1)
-    neg_bad = neg_rows < -NEGATIVE_LEVEL_SLACK
-    seg |= ok & neg_bad
-    ok &= ~neg_bad
-    dusty = neg.any(axis=1) & ok
-    if dusty.any():
-        # Float dust on near-empty reserves: clamp to zero and let the
-        # root absorb the difference so the books still balance.
-        end[dusty] -= neg[dusty]
-        end[dusty, plan.root_index] += neg_rows[dusty]
-    for i, tier in enumerate(tiers):
-        if ok[i]:
-            tier.coupled_solves += 1
-    _commit_rows(tiers, ok, end, moved, lost, reclaimed, in_sum, out_sum,
-                 results)
-    if seg.any():
-        _batch_segmented(tiers, spans, lam, lvl, np.flatnonzero(seg),
-                         results)
-    return results
-
-
-def _batch_diagonal(tiers: List[SpanTier], span, lam: float,
-                    lvl: np.ndarray, f: np.ndarray, linear: np.ndarray,
-                    ok: np.ndarray, results: List[Optional[float]]) -> None:
-    """The diagonal fast tier across stacked levels (elementwise).
-
-    ``span`` is a shared scalar or per-row ``(d,)`` horizons — the
-    closed form is elementwise in both the levels and the span, so
-    heterogeneous horizons ride the identical expressions.
-    """
-    lead = tiers[0]
-    plan = lead.plan
-    d, n = lvl.shape
-    spans_c = np.broadcast_to(np.asarray(span, dtype=float), (d,))[:, None]
-    decay_f = np.exp(-spans_c * f)  # == 1 exactly where F == 0
-    net_const = lead.const_in - lead.const_out
-    steady = np.divide(net_const, f, out=np.zeros(n), where=linear)
-    end = np.where(linear, steady + (lvl - steady) * decay_f,
-                   lvl + net_const * spans_c)
-    drain = np.where(linear, lvl - end + net_const * spans_c, 0.0)
-    drain = np.maximum(drain, 0.0)
-
-    m = len(plan.taps)
-    moved = np.zeros((d, m))
-    if plan.const_taps.size:
-        moved[:, plan.const_taps] = plan.rate[plan.const_taps] * spans_c
-    if plan.prop_taps.size:
-        psrc = plan.src[plan.prop_taps]
-        share = np.divide(plan.rate[plan.prop_taps], f[psrc],
-                          out=np.zeros(plan.prop_taps.size),
-                          where=f[psrc] > 0)
-        moved[:, plan.prop_taps] = drain[:, psrc] * share
-        flat = (_flat_indices(plan, d)[2]
-                + plan.snk[plan.prop_taps]).ravel()
-        end += np.bincount(flat, weights=moved[:, plan.prop_taps].ravel(),
-                           minlength=d * n).reshape(d, n)
-    lost = np.zeros((d, n))
-    reclaimed = np.zeros(d)
-    if lam > 0.0 and plan.any_decayable:
-        lost = np.where(linear & plan.decay_mask,
-                        drain * np.divide(lam, f, out=np.zeros(n),
-                                          where=linear), 0.0)
-        reclaimed = lost.sum(axis=1)
+    if coupled:
+        # Commit levels by mass balance from the integrated flows, not
+        # the ODE output: conservation is then exact by construction
+        # (the two agree analytically; float-wise they differ in the
+        # last ulps, and mass balance is the one the audits check).
+        end = lvl + in_sum - out_sum - lost
         end[:, plan.root_index] += reclaimed
-    flat_src, flat_snk, _ = _flat_indices(plan, d)
-    in_sum = np.bincount(flat_snk, weights=moved.ravel(),
-                         minlength=d * n).reshape(d, n)
-    out_sum = np.bincount(flat_src, weights=moved.ravel(),
-                          minlength=d * n).reshape(d, n)
+        neg = np.minimum(end, 0.0)
+        if neg.any():
+            neg_rows = neg.sum(axis=1)
+            # the bounds should preclude this; never guess
+            ok &= ~(neg_rows < -NEGATIVE_LEVEL_SLACK)
+            # Float dust on near-empty reserves: clamp to zero and let
+            # the root absorb the difference so the books still balance.
+            dusty = neg.any(axis=1) & ok
+            end[dusty] -= neg[dusty]
+            end[dusty, plan.root_index] += neg_rows[dusty]
     for i, tier in enumerate(tiers):
         if ok[i]:
-            tier.diagonal_solves += 1
+            if coupled:
+                tier.coupled_solves += 1
+            else:
+                tier.diagonal_solves += 1
     _commit_rows(tiers, ok, end, moved, lost, reclaimed, in_sum, out_sum,
                  results)
+    return ~ok
 
 
 def _batch_segmented(tiers: List[SpanTier], span, lam: float,
@@ -2297,29 +2126,32 @@ def _batch_segmented(tiers: List[SpanTier], span, lam: float,
     clock's starting value and the per-device segment-resolution
     thresholds derived from it.
 
-    Runs the scalar segmented loop's exact pipeline — dust absorption,
-    regime derivation, the certify-first fast path, sampled switch
-    location with bisection, staged mass-balance integration — over a
-    ``(devices, reserves)`` stack.  Devices switch at different
-    instants, so each carries its own remaining-span clock and segment
-    count; every round groups the still-active devices by their
-    *derived regime* (cached on the lead tier, so one shared
-    eigendecomposition serves every device in the same regime) and
-    advances each group to its members' next switches in one stacked
-    sample/bisect/integrate pass.
+    The stacked twin of :meth:`SpanTier._execute_segmented`: the loop
+    and its per-segment flows are its own, while each step it runs —
+    the regime lookup, the certify-first boundary
+    (:func:`_debt_boundary`), the certificate, the switch locator
+    (:func:`_locate_switches`) and the commit (:func:`_commit_rows`) —
+    is the one the one-device loop runs on a stack of one.  Devices
+    switch at different instants, so each carries its own
+    remaining-span clock and segment count; every round absorbs dust,
+    groups the still-active devices by their *derived regime* (cached
+    on the lead tier, so one shared eigendecomposition serves every
+    device in the same regime) and advances each group to its
+    members' next switches in one stacked locate/integrate pass.
 
     Per-device drop-out covers only the genuinely unsupported shapes —
-    an underivable regime, a dense (Padé) regime propagator, a failed
-    no-switch certificate, a sub-resolution segment, or a chain past
-    :data:`MAX_SEGMENTS`.  A dropped device's ``results`` entry stays
-    ``None`` with nothing mutated: the caller's scalar path (which may
-    itself refuse into ticking) takes over, identical to before.
+    an underivable regime, a dense (Padé) regime propagator (the
+    stacked flows are eigen-only), a failed no-switch certificate, a
+    sub-resolution segment, or a chain past :data:`MAX_SEGMENTS`.  A
+    dropped device's ``results`` entry stays ``None`` with nothing
+    mutated: the caller's one-device path (which may itself refuse
+    into ticking) takes over.
 
     Stacked arithmetic reorders a handful of float operations relative
-    to the scalar engine (matrix-matrix instead of matrix-vector
-    products), so batched results agree with the scalar segmented
-    reference to documented ulp tolerance rather than bit-identically;
-    the parity suite pins that contract.
+    to the one-device loop (matrix-matrix instead of matrix-vector
+    products), so batched results agree with it to documented ulp
+    tolerance rather than bit-identically; the parity suite pins that
+    contract.
     """
     lead = tiers[0]
     plan = lead.plan
@@ -2377,85 +2209,27 @@ def _batch_segmented(tiers: List[SpanTier], span, lam: float,
             t0 = perf_counter()
             seg_t = rem.copy()
             located = np.zeros(gr, dtype=bool)
-            crossed = np.zeros((gr, n), dtype=bool)
-            crossed_sat = np.zeros((gr, n_sat), dtype=bool)
             drop = np.zeros(gr, dtype=bool)
             fast = np.zeros(gr, dtype=bool)
-            # Certify-first fast path (same applicability rule as the
-            # scalar loop: no debt rows, or all of them linear).
-            if not regime.debt_rows.size or bool(regime.debt_linear.all()):
-                t_cand = rem.copy()
-                for r_i in range(regime.debt_rows.shape[0]):
-                    slope = float(regime.debt_slope[r_i])
-                    if slope > 0.0:
-                        row = int(regime.debt_rows[r_i])
-                        np.minimum(t_cand, (-lt - lvls[:, row]) / slope,
-                                   out=t_cand)
-                early = t_cand < rem
-                if early.any():
-                    for r_i in range(regime.debt_rows.shape[0]):
-                        slope = float(regime.debt_slope[r_i])
-                        if slope <= 0.0:
-                            continue
-                        row = int(regime.debt_rows[r_i])
-                        t_star = (-lt - lvls[:, row]) / slope
-                        crossed[:, row] = (early
-                                           & (t_star <= t_cand
-                                              * (1.0 + 1e-12)))
+            boundary = _debt_boundary(regime, lvls, rem, lt)
+            if boundary is not None:
+                t_cand, early, crossed = boundary
                 fast = ((t_cand >= min_seg[rows])
-                        & regime.certify_batch(lvls, t_cand, lt,
-                                               crossed, crossed_sat))
+                        & regime.certify_batch(
+                            lvls, t_cand, lt, crossed,
+                            np.zeros((gr, n_sat), dtype=bool)))
                 seg_t = np.where(fast, t_cand, seg_t)
                 located = fast & early
-                crossed &= fast[:, None]
             srs = np.flatnonzero(~fast)
             if srs.size:
-                if regime.has_monitors:
-                    ts = np.linspace(rem[srs] / EVENT_SAMPLES, rem[srs],
-                                     EVENT_SAMPLES, axis=1)
-                    states = _eig_states_batch(eig, b_sys, lvls[srs], ts)
-                    first = segkernel.first_hits(
-                        states, regime.clamp_rows, regime.cap_rows,
-                        regime.cap_limits, regime.debt_rows, lt[srs],
-                        *regime.sat)
-                    hit = first >= 0
-                    if hit.any():
-                        hrows = srs[hit]
-                        f_i = first[hit]
-                        pos = np.flatnonzero(hit)
-                        lo_h = np.where(f_i == 0, 0.0,
-                                        ts[pos, np.maximum(f_i - 1, 0)])
-                        hi_h = ts[pos, f_i]
-                        floor = np.maximum(1e-12 * rem[hrows], 1e-15)
-                        sub_lvls = lvls[hrows]
-                        sub_lt = lt[hrows]
-                        for _ in range(64):
-                            open_ = (hi_h - lo_h) > floor
-                            if not open_.any():
-                                break
-                            mid = 0.5 * (lo_h + hi_h)
-                            st = _eig_state_at_batch(eig, b_sys,
-                                                     sub_lvls, mid)
-                            viol = segkernel.violated_at(
-                                st, regime.clamp_rows, regime.cap_rows,
-                                regime.cap_limits, regime.debt_rows,
-                                sub_lt, *regime.sat)
-                            hi_h = np.where(open_ & viol, mid, hi_h)
-                            lo_h = np.where(open_ & ~viol, mid, lo_h)
-                        st_hi = _eig_state_at_batch(eig, b_sys,
-                                                    sub_lvls, hi_h)
-                        c_rows, c_sat = regime.crossing_marks_batch(
-                            st_hi, sub_lt)
-                        seg_t[hrows] = lo_h
-                        located[hrows] = True
-                        crossed[hrows] = c_rows
-                        if n_sat:
-                            crossed_sat[hrows] = c_sat
-                drop[srs] = seg_t[srs] < min_seg[rows[srs]]
-                cert = regime.certify_batch(lvls[srs], seg_t[srs],
-                                            lt[srs], crossed[srs],
-                                            crossed_sat[srs])
-                drop[srs] |= ~cert
+                s_t, s_located, crossed, crossed_sat = _locate_switches(
+                    regime, lvls[srs], rem[srs], lt[srs])
+                seg_t[srs] = s_t
+                located[srs] = s_located
+                drop[srs] = ((s_t < min_seg[rows[srs]])
+                             | ~regime.certify_batch(lvls[srs], s_t,
+                                                     lt[srs], crossed,
+                                                     crossed_sat))
             locate_wall += perf_counter() - t0
             t0 = perf_counter()
             keep = ~drop

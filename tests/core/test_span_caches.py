@@ -287,7 +287,7 @@ class TestPropagatorCache:
 
     def test_dense_path_caches_the_augmented_exponential(self,
                                                          monkeypatch):
-        monkeypatch.setattr(spansolver, "FORCE_DENSE_EXPM", True)
+        monkeypatch.setattr(spansolver, "_trusted_eig", lambda a: None)
         system = chain_regime_system()
         assert system.eig is None
         lvl = np.array([3.0, 1.25, 0.5])
@@ -301,16 +301,21 @@ class TestPropagatorCache:
         assert len(system.span_cache) == 1
 
     def test_coupled_system_cache_matches_fresh_factors(self):
+        """The one-row coupled solve: a miss, a hit with other levels,
+        then another span length, each equal to the formula."""
         g = feeds_graph(decay=True)
         tier = g.span_plan_handle().span_tier
         system = spansolver.CoupledSystem(tier, g.decay_policy.lam)
         assert system.eig is not None
         lvl = np.array([500.0, 0.2, 0.1, 0.3, 1.0])
-        for t in (0.5, 0.5, 2.0):
-            end, integ = system.propagate(lvl, t)
-            ref = reference_state_integral(system.eig, system.b, lvl, t)
-            assert end.tobytes() == ref[0].tobytes()
-            assert integ.tobytes() == ref[1].tobytes()
+        for t, scale in ((0.5, 1.0), (0.5, 0.5), (2.0, 1.0)):
+            integ = system.integrals(scale * lvl[None, :], np.array([t]))
+            ref = reference_state_integral(system.eig, system.b,
+                                           scale * lvl, t)
+            assert integ.shape == (1, lvl.size)
+            assert integ[0].tobytes() == ref[1].tobytes()
+        assert (0.5, system) in tier.span_cache
+        assert (2.0, system) in tier.span_cache
 
 
 class TestBoundVerdicts:
@@ -407,8 +412,9 @@ class TestBoundVerdicts:
                 assert got.tolist() == want.tolist()
                 verdicts += got.tolist()
                 # one shared span across regimes: the cached path
-                one = regime.certify(lvl[0], 7.5, 1e-9, crossed[0],
-                                     crossed_sat[0])
+                one = regime.certify_batch(
+                    lvl[:1], np.array([7.5]), ltol[:1], crossed[:1],
+                    crossed_sat[:1])[0]
                 assert one == bool(reference_certify_batch(
                     regime, lvl[:1], np.array([7.5]), ltol[:1],
                     crossed[:1], crossed_sat[:1])[0])
@@ -496,8 +502,10 @@ class TestCacheLifetime:
         assert normal.f_row.tobytes() != hovering.f_row.tobytes()
         n = len(names)
         for regime, start in ((normal, lvl), (hovering, lvl_cap)) * 2:
-            regime.certify(start, 7.5, 1e-9, np.zeros(n, dtype=bool),
-                           np.zeros(regime.sat[3].shape[0], dtype=bool))
+            regime.certify_batch(
+                start[None, :], np.array([7.5]), np.array([1e-9]),
+                np.zeros((1, n), dtype=bool),
+                np.zeros((1, regime.sat[3].shape[0]), dtype=bool))
             decay_f, grow = tier.span_cache[(7.5, regime, "certify")]
             want = np.exp(-regime.f_row * np.array([[7.5]]))
             assert decay_f.tobytes() == want.tobytes()
