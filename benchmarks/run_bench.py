@@ -5,7 +5,8 @@ Tracks the hot paths this repo's performance work targets:
 * **micro** — ``ResourceGraph.step`` on the canonical production
   topology (100 reserves fed from the battery, 200 taps: one constant
   feed plus one backward proportional drain per reserve, global decay
-  on), compiled-FlowPlan path vs the per-object reference path.
+  on), compiled-FlowPlan path vs the per-object reference path, the
+  median ratio of five alternating rounds.
 * **macro** — a 1-simulated-hour idle-heavy ``CinderSystem`` (a
   maintenance process waking once a minute), idle fast-forward vs
   tick-by-tick, measured in wall-clock seconds.
@@ -114,31 +115,39 @@ def build_micro_graph() -> ResourceGraph:
     return graph
 
 
-def time_step_loop(step, iterations: int = 2000, repeats: int = 5) -> float:
-    """Best-of-N mean microseconds per ``step(TICK_S)`` call."""
-    step(TICK_S)  # warm up / compile the plan
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            step(TICK_S)
-        best = min(best, (time.perf_counter() - start) / iterations)
-    return best * 1e6
+def time_step_round(step, iterations: int = 2000) -> float:
+    """Mean microseconds per ``step(TICK_S)`` call over one round."""
+    start = time.perf_counter()
+    for _ in range(iterations):
+        step(TICK_S)
+    return (time.perf_counter() - start) / iterations * 1e6
 
 
 def run_micro() -> dict:
+    # Five alternating (graph.step, step_reference) rounds, and the
+    # median of the per-round ratios, as in run_fleet: both sides of a
+    # ratio run back to back, so host load that drifts over the call
+    # moves numerator and denominator together.
     vec_graph = build_micro_graph()
     ref_graph = build_micro_graph()
-    vectorized_us = time_step_loop(vec_graph.step)
-    reference_us = time_step_loop(ref_graph.step_reference)
+    vec_graph.step(TICK_S)  # warm up / compile the plan
+    ref_graph.step_reference(TICK_S)
+    vectorized = []
+    reference = []
+    ratios = []
+    for _ in range(5):
+        vectorized.append(time_step_round(vec_graph.step))
+        reference.append(time_step_round(ref_graph.step_reference))
+        ratios.append(reference[-1] / vectorized[-1])
     assert vec_graph.fallback_steps == 0, "micro topology must vectorize"
     return {
         "reserves": MICRO_RESERVES,
         "taps": MICRO_TAPS,
         "tick_s": TICK_S,
-        "vectorized_us_per_step": round(vectorized_us, 3),
-        "reference_us_per_step": round(reference_us, 3),
-        "speedup": round(reference_us / vectorized_us, 2),
+        "vectorized_us_per_step": round(statistics.median(vectorized), 3),
+        "reference_us_per_step": round(statistics.median(reference), 3),
+        "speedup": round(statistics.median(ratios), 2),
+        "speedup_pairs": [round(r, 2) for r in ratios],
     }
 
 

@@ -10,14 +10,17 @@ and then executes each tick as a few array operations.
 
 Two execution modes:
 
-* :meth:`execute_tick` — one batch round, *exactly* equivalent to the
-  sequential per-object reference path (``ResourceGraph.step_reference``)
-  whenever its cheap vectorized validity checks pass, and ``None``
-  (caller falls back to the reference path) otherwise.  Exactness is
-  obtained by compiling the creation-ordered tap list into *segments*:
-  within a segment every tap's amount is a function of segment-start
-  levels only, so simultaneous evaluation reproduces sequential
-  firing bit-for-bit up to float associativity.
+* :func:`execute_tick_batch` — one batch round over a stack of
+  structurally identical graphs, *exactly* equivalent per device to
+  the sequential per-object reference path
+  (``ResourceGraph.step_reference``) whenever its cheap vectorized
+  validity checks pass, and ``None`` for that device (caller falls
+  back to the reference path) otherwise.  A lone graph's tick,
+  :meth:`execute_tick`, is the same kernel on a stack of one.
+  Exactness is obtained by compiling the creation-ordered tap list
+  into *segments*: within a segment every tap's amount is a function
+  of segment-start levels only, so simultaneous evaluation
+  reproduces sequential firing bit-for-bit up to float associativity.
 * :meth:`execute_span` — a closed-form macro-step over an arbitrary
   span with no intervening events (the engine's idle fast-forward).
   The span *tier* lives in :mod:`repro.core.spansolver`: a scalar
@@ -70,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import ResourceGraph
 
 #: Below this many reserves+taps the per-object reference path beats
-#: numpy call overhead; execute_tick defers to it (and the graph skips
+#: numpy call overhead; ``graph.step`` defers to it (and skips
 #: compiling a plan for stepping at all).
 VECTOR_MIN_OBJECTS = 40
 
@@ -138,6 +141,9 @@ class FlowPlan:
         self.const_taps = np.flatnonzero(self.const_mask)
         #: dt -> (const amounts, proportional integration factors).
         self._amount_cache: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+        #: ``(stack size, flat per-segment scatter indices)`` of the
+        #: last cohort this plan led (see :func:`_tick_indices`).
+        self._tick_flat: Optional[Tuple[int, list]] = None
         #: The span tier (closed-form macro-steps), built on first use.
         self._span_tier: Optional[SpanTier] = None
         #: Lazily computed topology signature (see :attr:`signature`).
@@ -256,6 +262,9 @@ class FlowPlan:
         self.clampable = clampable
         self.corr = corr
         self.segments = segments
+        #: Each segment's ``(src, snk)`` index slices.
+        self.seg_index = [(self.src[lo:hi], self.snk[lo:hi])
+                          for lo, hi, _, _, _ in segments]
 
     def _amounts_for(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
         """(const amounts, prop ``1 - exp(-rate*dt)`` factors) for ``dt``."""
@@ -281,107 +290,11 @@ class FlowPlan:
     def execute_tick(self, dt: float) -> Optional[float]:
         """One batch round; returns total moved, or None to fall back.
 
-        Mutates nothing until every segment and the decay pass have
-        validated, so a ``None`` return leaves the graph untouched for
-        the reference path to re-execute.
+        The stacked kernel on a stack of one.  A ``None`` return
+        leaves the graph untouched for the reference path to
+        re-execute.
         """
-        if self.small:
-            return None  # numpy overhead loses on tiny graphs (the
-            # graph checks .small first and skips the call entirely)
-        n = len(self.reserves)
-        m = len(self.taps)
-        policy = self.graph.decay_policy
-        work = self._gather_levels()
-        moved = np.zeros(m)
-        in_sum = np.zeros(n)
-        out_sum = np.zeros(n)
-        if m:
-            const_amt, factors = self._amounts_for(dt)
-            finite_cap = self.finite_cap
-            for lo, hi, mode, has_clamp, has_corr in self.segments:
-                src = self.src[lo:hi]
-                snk = self.snk[lo:hi]
-                pos = np.maximum(work, 0.0)
-                if mode == _CONST_ONLY and not has_clamp:
-                    amt = const_amt[lo:hi]
-                else:
-                    # Source level as sequential firing would see it:
-                    # segment start plus net in-segment constant flow.
-                    base = work[src]
-                    if has_corr:
-                        base = base + self.corr[lo:hi] * dt
-                    avail = np.maximum(base, 0.0)
-                    if mode == _PROP_ONLY:
-                        amt = avail * factors[lo:hi]
-                    elif mode == _CONST_ONLY:
-                        amt = const_amt[lo:hi]
-                    else:
-                        amt = np.where(self.const_mask[lo:hi],
-                                       const_amt[lo:hi],
-                                       avail * factors[lo:hi])
-                    if has_clamp:
-                        cl = self.clampable[lo:hi]
-                        amt = np.where(cl, np.minimum(amt, avail), amt)
-                out = np.bincount(src, weights=amt, minlength=n)
-                if (out > pos).any():
-                    return None
-                inn = np.bincount(snk, weights=amt, minlength=n)
-                if finite_cap.size:
-                    headroom = np.maximum(
-                        0.0, self.capacity[finite_cap] - work[finite_cap])
-                    if (inn[finite_cap] > headroom).any():
-                        return None
-                work += inn
-                work -= out
-                in_sum += inn
-                out_sum += out
-                moved[lo:hi] = amt
-
-        # -- global decay, closed over this tick --
-        fraction = policy.fraction_for(dt)
-        reclaimed = 0.0
-        lost_list = None
-        if fraction > 0.0 and self.any_decayable:
-            eligible = self.decay_mask & (work > 0.0)
-            if eligible.any():
-                lost = np.where(eligible, work * fraction, 0.0)
-                reclaimed = float(lost.sum())
-                root_i = self.root_index
-                if reclaimed > self.capacity[root_i] - work[root_i]:
-                    # The reference path clamps deposits reserve by
-                    # reserve; model that precisely there instead.
-                    return None
-                work -= lost
-                work[root_i] += reclaimed
-                lost_list = lost.tolist()
-
-        # -- commit --
-        root = self.graph.root
-        if lost_list is None:
-            for reserve, lv, o, i_ in zip(self.reserves, work.tolist(),
-                                          out_sum.tolist(), in_sum.tolist()):
-                reserve._level = lv
-                if o:
-                    reserve.total_transferred_out += o
-                if i_:
-                    reserve.total_transferred_in += i_
-        else:
-            for reserve, lv, o, i_, ls in zip(self.reserves, work.tolist(),
-                                              out_sum.tolist(),
-                                              in_sum.tolist(), lost_list):
-                reserve._level = lv
-                if o:
-                    reserve.total_transferred_out += o
-                if i_:
-                    reserve.total_transferred_in += i_
-                if ls:
-                    reserve.total_decayed += ls
-        if fraction > 0.0:
-            if reclaimed:
-                root.total_deposited += reclaimed
-            policy.total_reclaimed += reclaimed
-        self._tap_flow_acc += moved
-        return float(moved.sum())
+        return execute_tick_batch([self], dt)[0]
 
     # -- closed-form macro step ------------------------------------------------------
 
@@ -414,6 +327,26 @@ class FlowPlan:
 # ---------------------------------------------------------------------------
 
 
+def _tick_indices(plan: FlowPlan,
+                  d: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per-segment scatter indices ``(src, snk)`` for a ``d``-row stack.
+
+    A stack of one scatters by the plan's own segment indices.  Larger
+    stacks use flat indices cached on the lead plan (plans die with
+    their topology epoch, so the cache cannot go stale); a lone tick
+    of a cohort's lead plan leaves the cohort's entry in place.
+    """
+    if d == 1:
+        return plan.seg_index
+    cache = plan._tick_flat
+    if cache is None or cache[0] != d:
+        row_base = (np.arange(d) * len(plan.reserves))[:, None]
+        cache = plan._tick_flat = (d, [
+            ((row_base + src).ravel(), (row_base + snk).ravel())
+            for src, snk in plan.seg_index])
+    return cache[1]
+
+
 def execute_tick_batch(plans: List[FlowPlan],
                        dt: float) -> List[Optional[float]]:
     """One stacked batch round across a cohort of identical graphs.
@@ -421,13 +354,14 @@ def execute_tick_batch(plans: List[FlowPlan],
     ``plans`` must share a :attr:`FlowPlan.signature` (the caller
     groups by it) and their graphs must apply the same decay fraction
     for ``dt``.  Levels are stacked into one ``(n_devices, n_reserves)``
-    array and every segment executes across the whole cohort at once —
-    the same elementwise arithmetic :meth:`FlowPlan.execute_tick`
-    performs per device, so a batched tick is bit-identical to the
-    per-device kernel.  Validity (no-clamp, capacity headroom, decay
-    headroom) is checked per device; a failing device is dropped from
-    the commit untouched and reported as ``None`` in the result list
-    so the caller can run its full per-device step instead.
+    array and every segment executes across the whole cohort at once;
+    :meth:`FlowPlan.execute_tick` is this kernel on a stack of one, so
+    a batched tick is bit-identical to the per-device kernel.
+    Validity (no-clamp, capacity headroom, decay headroom) is checked
+    per device; a failing device is dropped from the commit untouched
+    and reported as ``None`` in the result list so the caller can run
+    its full per-device step instead.  Nothing is mutated before the
+    commit, so once every device has failed the call returns at once.
 
     Unlike ``graph.step``, this entry point does not defer to the
     per-object reference path on small graphs: batching exists
@@ -447,34 +381,30 @@ def execute_tick_batch(plans: List[FlowPlan],
     moved = np.zeros((d, m))
     in_sum = np.zeros((d, n))
     out_sum = np.zeros((d, n))
-    # Per-segment flat scatter indices, cached on the lead plan (plans
-    # die with their topology epoch, so the cache cannot go stale).
-    flat_cache = getattr(lead, "_tick_flat", None)
-    if flat_cache is None or flat_cache[0] != d:
-        row_base = (np.arange(d) * n)[:, None]
-        flat_cache = (d, [((row_base + lead.src[lo:hi]).ravel(),
-                           (row_base + lead.snk[lo:hi]).ravel())
-                          for lo, hi, _, _, _ in lead.segments])
-        lead._tick_flat = flat_cache
     if m:
         const_amt, factors = lead._amounts_for(dt)
         finite_cap = lead.finite_cap
-        for seg_index, (lo, hi, mode, has_clamp,
-                        has_corr) in enumerate(lead.segments):
-            src = lead.src[lo:hi]
-            snk = lead.snk[lo:hi]
+        cap_finite = lead.capacity[finite_cap]
+        for (lo, hi, mode, has_clamp, has_corr), (src, snk), \
+                flat in zip(lead.segments, lead.seg_index,
+                            _tick_indices(lead, d)):
             pos = np.maximum(work, 0.0)
             if mode == _CONST_ONLY and not has_clamp:
-                amt = np.broadcast_to(const_amt[lo:hi], (d, hi - lo))
+                # Level-independent amounts, equal on every row: one
+                # row's scatter serves the whole stack by broadcasting.
+                amt = const_amt[lo:hi]
+                rows, (scatter_src, scatter_snk) = 1, (src, snk)
             else:
-                base = work[:, src]
+                # Source level as sequential firing would see it:
+                # segment start plus net in-segment constant flow.
+                base = work.take(src, axis=1)
                 if has_corr:
                     base = base + lead.corr[lo:hi] * dt
                 avail = np.maximum(base, 0.0)
                 if mode == _PROP_ONLY:
                     amt = avail * factors[lo:hi]
                 elif mode == _CONST_ONLY:
-                    amt = np.broadcast_to(const_amt[lo:hi], (d, hi - lo))
+                    amt = const_amt[lo:hi]  # clamped per row below
                 else:
                     amt = np.where(lead.const_mask[lo:hi],
                                    const_amt[lo:hi],
@@ -482,17 +412,26 @@ def execute_tick_batch(plans: List[FlowPlan],
                 if has_clamp:
                     cl = lead.clampable[lo:hi]
                     amt = np.where(cl, np.minimum(amt, avail), amt)
-            flat_src, flat_snk = flat_cache[1][seg_index]
-            out = np.bincount(flat_src, weights=amt.ravel(),
-                              minlength=d * n).reshape(d, n)
-            bad = (out > pos).any(axis=1)
-            inn = np.bincount(flat_snk, weights=amt.ravel(),
-                              minlength=d * n).reshape(d, n)
+                rows, (scatter_src, scatter_snk) = d, flat
+            flat_amt = amt.ravel()
+            out = np.bincount(scatter_src, weights=flat_amt,
+                              minlength=rows * n).reshape(rows, n)
+            # One test per check; per-row verdicts only on a violation.
+            bad = out > pos
+            if bad.any():
+                ok &= ~bad.any(axis=1)
+                if not ok.any():
+                    return [None] * d
+            inn = np.bincount(scatter_snk, weights=flat_amt,
+                              minlength=rows * n).reshape(rows, n)
             if finite_cap.size:
                 headroom = np.maximum(
-                    0.0, lead.capacity[finite_cap] - work[:, finite_cap])
-                bad |= (inn[:, finite_cap] > headroom).any(axis=1)
-            ok &= ~bad
+                    0.0, cap_finite - work.take(finite_cap, axis=1))
+                bad = inn.take(finite_cap, axis=1) > headroom
+                if bad.any():
+                    ok &= ~bad.any(axis=1)
+                    if not ok.any():
+                        return [None] * d
             work += inn
             work -= out
             in_sum += inn
@@ -502,31 +441,37 @@ def execute_tick_batch(plans: List[FlowPlan],
     # -- global decay, closed over this tick (per-device headroom) --
     policy = lead.graph.decay_policy
     fraction = policy.fraction_for(dt)
-    reclaimed = np.zeros(d)
-    lost = None
+    reclaimed = [0.0] * d
+    lost_l = None
     if fraction > 0.0 and lead.any_decayable:
         eligible = lead.decay_mask & (work > 0.0)
-        lost = np.where(eligible, work * fraction, 0.0)
-        reclaimed = lost.sum(axis=1)
-        root_i = lead.root_index
-        bad = reclaimed > lead.capacity[root_i] - work[:, root_i]
-        ok &= ~bad
-        work -= lost
-        work[:, root_i] += reclaimed
+        if eligible.any():
+            lost = np.where(eligible, work * fraction, 0.0)
+            rec = lost.sum(axis=1)
+            root_i = lead.root_index
+            # The reference path clamps deposits reserve by reserve;
+            # a device whose root would overflow is left to it.
+            bad = rec > lead.capacity[root_i] - work[:, root_i]
+            if bad.any():
+                ok &= ~bad
+                if not ok.any():
+                    return [None] * d
+            work -= lost
+            work[:, root_i] += rec
+            reclaimed = rec.tolist()
+            lost_l = lost.tolist()
 
-    # -- per-device commit (identical bookkeeping to execute_tick;
-    #    whole-stack tolist conversions amortize the numpy round-trips) --
+    # -- per-device commit (whole-stack tolist conversions amortize
+    #    the numpy round-trips) --
     results: List[Optional[float]] = [None] * d
     work_l = work.tolist()
     out_l = out_sum.tolist()
     in_l = in_sum.tolist()
-    lost_l = lost.tolist() if lost is not None else None
-    moved_l = moved.tolist()
     moved_totals = moved.sum(axis=1).tolist()
-    for i, plan in enumerate(plans):
-        if not ok[i]:
+    for i, (plan, valid) in enumerate(zip(plans, ok.tolist())):
+        if not valid:
             continue
-        root = plan.graph.root
+        graph = plan.graph
         if lost_l is None:
             for reserve, lv, o, i_ in zip(plan.reserves, work_l[i],
                                           out_l[i], in_l[i]):
@@ -547,15 +492,11 @@ def execute_tick_batch(plans: List[FlowPlan],
                 if ls:
                     reserve.total_decayed += ls
         if fraction > 0.0:
-            rec = float(reclaimed[i])
-            if rec:
-                root.total_deposited += rec
-            plan.graph.decay_policy.total_reclaimed += rec
-        acc = plan._tap_flow_acc
-        for j, amount in enumerate(moved_l[i]):
-            if amount:
-                acc[j] += amount
-        graph = plan.graph
+            reclaim = reclaimed[i]
+            if reclaim:
+                graph.root.total_deposited += reclaim
+            graph.decay_policy.total_reclaimed += reclaim
+        plan._tap_flow_acc += moved[i]
         graph.vector_steps += 1
         graph.time += dt
         results[i] = moved_totals[i]

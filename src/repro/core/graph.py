@@ -376,10 +376,15 @@ class ResourceGraph:
         (§3.3); within one tick ordering effects are bounded by
         ``rate * dt``.
 
-        Executes the compiled :class:`FlowPlan` (vectorized array
-        math) whenever its exactness checks hold, and falls back to
-        the per-object :meth:`step_reference` path otherwise — both
-        produce the same result up to float associativity.
+        Executes the compiled :class:`FlowPlan` whenever its exactness
+        checks hold: the stacked tick kernel
+        (:func:`~repro.core.flowplan.execute_tick_batch`) on a stack
+        of one, whose commit books :attr:`vector_steps` and
+        :attr:`time`.  Falls back to the per-object
+        :meth:`step_reference` path otherwise, and on graphs below
+        :data:`~repro.core.flowplan.VECTOR_MIN_OBJECTS` live objects,
+        where the per-object loop is faster — both produce the same
+        result up to float associativity.
         """
         if dt < 0:
             raise EnergyError("dt must be non-negative")
@@ -402,8 +407,6 @@ class ResourceGraph:
         if moved is None:
             self.fallback_steps += 1
             return self.step_reference(dt)
-        self.vector_steps += 1
-        self.time += dt
         return moved
 
     def step_reference(self, dt: float) -> float:

@@ -97,14 +97,14 @@ copy of each step").
 from __future__ import annotations
 
 import math
-from functools import partial, reduce
-from operator import add
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import segkernel
+from .segkernel import _DEBT, _EMPTY, _FULL, _NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .flowplan import FlowPlan
@@ -125,14 +125,6 @@ MAX_SEGMENTS = 64
 #: switching instant (crossings between samples are then bisected).
 EVENT_SAMPLES = 96
 
-# per-reserve regime modes inside one segment
-_NORMAL, _DEBT, _EMPTY, _FULL, _HOVER = 0, 1, 2, 3, 4
-
-#: Relative slack on a saturation monitor's flow-rate boundaries (the
-#: pass-through functional sits exactly on a boundary at derivation
-#: time; the monitor must not re-fire on that float noise).
-SAT_RTOL = 1e-9
-
 #: Entries a span tier's per-span factor cache holds before it is
 #: cleared.  One cache serves all of a tier's coupled systems and
 #: regimes and its clamp bound, so this bounds a tier's cached factors
@@ -147,16 +139,6 @@ def _remember(cache: dict, key, value):
         cache.clear()
     cache[key] = value
     return value
-
-
-def _plain_sum(values) -> float:
-    """Left-to-right float sum that rounds after every add.
-
-    Builtin :func:`sum` compensates float sums from Python 3.12 on;
-    the mode derivation must round like the mode kernel, which adds
-    plainly, on every interpreter.
-    """
-    return reduce(add, values, 0.0)
 
 
 def _per_span(cache: dict, spans: np.ndarray, compute, *key):
@@ -892,13 +874,9 @@ class SpanTier:
             else:
                 self.prop_into.setdefault(k, []).append(j)
                 self.prop_from.setdefault(s, []).append(j)
-        #: CSR tap adjacency for the compiled mode-derivation kernel
-        #: (:func:`repro.core.segkernel.derive_modes`), built lazily
-        #: from the dicts above in their exact iteration order.
-        self._modes_csr: Optional[tuple] = None
-        #: Inputs of the Python mode derivation, built lazily (most
-        #: tiers never leave the single-regime solvers).
-        self._modes_py: Optional[tuple] = None
+        #: Inputs of the mode derivation, built lazily (most tiers
+        #: never leave the single-regime solvers).
+        self._modes: Optional[tuple] = None
         #: lam -> the coupled linear system at that decay constant.
         self._coupled: Dict[float, CoupledSystem] = {}
         #: lam -> :meth:`_dynamics` at that decay constant.
@@ -1259,7 +1237,7 @@ class SpanTier:
         regime = self._regimes.get(key)
         if regime is not None:
             return regime
-        derived = self._derive_modes(lvl, lam, ltol)
+        derived = segkernel.derive_modes(lvl, lam, ltol, self._modes_pack())
         if derived is None:
             return None
         mode, eff, hov, pin_loss, fwd = derived
@@ -1282,356 +1260,22 @@ class SpanTier:
             self._regimes.update(entries)
         return regime
 
-    def _modes_csr_pack(self) -> tuple:
-        """CSR adjacency + typed scalars for the mode kernel."""
-        pack = self._modes_csr
+    def _modes_pack(self) -> tuple:
+        """The topology :func:`segkernel.derive_modes` reads (lazy).
+
+        The plan's arrays as Python lists, the root row, whether any
+        row decays, and the tap adjacency dicts.
+        """
+        pack = self._modes
         if pack is None:
             plan = self.plan
-            n = len(plan.reserves)
-
-            def csr(adj: Dict[int, List[int]]
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-                ptr = np.zeros(n + 1, dtype=np.int64)
-                idx: List[int] = []
-                for i in range(n):
-                    entries = adj.get(i, ())
-                    ptr[i + 1] = ptr[i] + len(entries)
-                    idx.extend(entries)
-                return ptr, np.asarray(idx, dtype=np.int64)
-
-            pack = (np.asarray(plan.finite_cap, dtype=np.int64),
-                    np.asarray(plan.src, dtype=np.int64),
-                    np.asarray(plan.snk, dtype=np.int64),
-                    *csr(self.const_into), *csr(self.const_from),
-                    *csr(self.prop_into), *csr(self.prop_from))
-            self._modes_csr = pack
+            pack = self._modes = (
+                plan.src.tolist(), plan.snk.tolist(), plan.rate.tolist(),
+                plan.const_mask.tolist(), plan.capacity.tolist(),
+                plan.decay_mask.tolist(), plan.finite_cap.tolist(),
+                plan.root_index, plan.any_decayable, self.const_into,
+                self.const_from, self.prop_into, self.prop_from)
         return pack
-
-    def _modes_py_pack(self) -> tuple:
-        """The empty-pin candidates, then the plan arrays as lists.
-
-        Candidates are the reserves the mode kernel always punts on
-        once they sit empty: non-root, uncapped (no capacity pin can
-        claim them first), with a constant drain.  The lists serve
-        :meth:`_derive_modes_full`, whose per-element reads and sums
-        cost far less on floats than on numpy scalars (same IEEE
-        arithmetic, same order).
-        """
-        pack = self._modes_py
-        if pack is None:
-            plan = self.plan
-            candidates = np.array(
-                [i for i in sorted(self.const_from)
-                 if i != plan.root_index
-                 and not math.isfinite(plan.capacity[i])], dtype=np.intp)
-            pack = self._modes_py = (
-                candidates, plan.src.tolist(), plan.snk.tolist(),
-                plan.rate.tolist(), plan.const_mask.tolist(),
-                plan.capacity.tolist(), plan.decay_mask.tolist(),
-                plan.finite_cap.tolist())
-        return pack
-
-    def _derive_modes(self, lvl: np.ndarray, lam: float, ltol: float
-                      ) -> Optional[Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray, np.ndarray, tuple]]:
-        """Classify every reserve into its regime mode, or None.
-
-        The common case — debt marks, FULL capacity pins, no hover,
-        no empty-pin fixpoint — runs through the compiled kernel
-        (:func:`repro.core.segkernel.derive_modes`; numpy fallback
-        when numba is absent), which fills the mode and effective-rate
-        arrays bit-identically to :meth:`_derive_modes_full` and
-        punts back to it for every richer regime.  A state with an
-        empty-pin candidate (see :meth:`_modes_py_pack`) at ``0 <= L
-        <= 4·ltol`` is one the kernel always punts on, so it goes to
-        the full derivation directly.
-        """
-        plan = self.plan
-        near = lvl[self._modes_py_pack()[0]]
-        if ((near >= 0.0) & (near <= 4.0 * ltol)).any():
-            return self._derive_modes_full(lvl, lam, ltol)
-        finite_cap, src64, snk64, ci_ptr, ci_idx, cf_ptr, cf_idx, \
-            pi_ptr, pi_idx, pf_ptr, pf_idx = self._modes_csr_pack()
-        n = len(plan.reserves)
-        m = len(plan.taps)
-        mode = np.empty(n, dtype=np.int8)
-        eff = np.empty(m)
-        status = segkernel.derive_modes(
-            lvl, float(lam), float(ltol), SAT_RTOL, plan.rate,
-            plan.const_mask, plan.capacity, src64, snk64, finite_cap,
-            plan.decay_mask, bool(plan.any_decayable),
-            int(plan.root_index), ci_ptr, ci_idx, cf_ptr, cf_idx,
-            pi_ptr, pi_idx, pf_ptr, pf_idx, mode, eff)
-        if status == 0:
-            return mode, eff, np.zeros(m), np.zeros(n), ()
-        return self._derive_modes_full(lvl, lam, ltol)
-
-    def _derive_modes_full(self, lvl: np.ndarray, lam: float,
-                           ltol: float
-                           ) -> Optional[Tuple[np.ndarray, np.ndarray,
-                                               np.ndarray, np.ndarray,
-                                               tuple]]:
-        """Classify every reserve into its regime mode, or None.
-
-        Modes: NORMAL (full linear row), DEBT (level below zero —
-        outflows and decay off, inflow repays), EMPTY (pinned at zero,
-        inflow passed through to its constant drains in creation
-        order), FULL (pinned at capacity, inflow rejected at the taps
-        — the energy stays in the sources), HOVER (pinned at the cap
-        while draining — outflows run at full rate served from the
-        inflow, and the deposit taps accept only what the steady
-        per-tick cycle's headroom admits).
-
-        Returns ``(mode, eff, hov, pin_loss, fwd)``: ``eff`` is the
-        per-tap effective constant rate under the modes (pass-through
-        and hover-acceptance distributions folded in), ``hov`` the
-        constant effective rate of each proportional drain leaving a
-        hovering reserve (``rate * pinned level``), ``pin_loss`` the
-        per-reserve constant decay loss of a pinned-at-cap row, and
-        ``fwd`` the forwarded pass-through entries ``(tap, cpart,
-        sources, weights, tol)`` — the marginal drain of an empty
-        reserve fed by live proportional taps, carrying the affine
-        remainder ``cpart + Σ wⱼ·Lⱼ(t)`` into its sink.  None marks
-        the residual shapes with no supported rewrite; the caller
-        refuses the span.
-
-        Works on Python lists (:meth:`_modes_py_pack`) and returns
-        numpy arrays; every sum is a :func:`_plain_sum` in tap order,
-        rounding like the mode kernel's.
-        """
-        plan = self.plan
-        n = len(plan.reserves)
-        m = len(plan.taps)
-        _, src, snk, rate, const, cap, decay_mask, finite_cap = \
-            self._modes_py_pack()
-        root = plan.root_index
-        boundary = 4.0 * ltol
-        lvl = lvl.tolist()
-        # dust was clamped by the caller
-        mode = [_DEBT if x < 0.0 else _NORMAL for x in lvl]
-        hov = [0.0] * m
-        pin_loss = [0.0] * n
-        hover_rows: List[int] = []
-
-        const_into = self.const_into
-        const_from = self.const_from
-        prop_into = self.prop_into
-        prop_from = self.prop_from
-
-        # -- capacity pins: at the cap with live inflow --
-        for i in finite_cap:
-            if mode[i] != _NORMAL:
-                continue
-            band = max(1e-9, 1e-11 * cap[i])
-            if lvl[i] < cap[i] - 2.0 * band:
-                continue
-            c_in_rate = _plain_sum([rate[j] for j in const_into.get(i, ())
-                                    if mode[src[j]] != _DEBT])
-            live_prop_in = any(mode[src[j]] == _NORMAL
-                               for j in prop_into.get(i, ()))
-            decay_in = (i == root and lam > 0.0 and plan.any_decayable)
-            if c_in_rate <= 0.0 and not live_prop_in and not decay_in:
-                continue  # nothing arrives: normal dynamics are exact
-            drains = bool(const_from.get(i)) or bool(prop_from.get(i))
-            decays = lam > 0.0 and decay_mask[i]
-            if not drains and not decays:
-                mode[i] = _FULL
-                continue
-            # Draining (or decaying) at the cap.  Constant inflow that
-            # sustains the outflow pins the level — hover; otherwise
-            # the level descends and normal dynamics are exact (the
-            # descent-safe exclusion in _build_regime keeps the cap
-            # monitor from re-firing inside the band).
-            if live_prop_in:
-                # Time-varying inflow into a binding capacity has no
-                # constant rewrite; per-tick execution handles it.
-                return None
-            out_rate = _plain_sum([rate[j] for j in const_from.get(i, ())])
-            out_rate += _plain_sum(
-                [rate[j] for j in prop_from.get(i, ())]) * lvl[i]
-            if decays:
-                out_rate += lam * lvl[i]
-            if c_in_rate >= out_rate * (1.0 - SAT_RTOL):
-                mode[i] = _HOVER
-                hover_rows.append(i)
-                if decays:
-                    pin_loss[i] = lam * lvl[i]
-
-        # -- effective constant rates under the pins --
-        eff = [r if c and mode[s] != _DEBT and mode[k] != _FULL else 0.0
-               for r, c, s, k in zip(rate, const, src, snk)]
-
-        # -- hover acceptance: the steady per-tick cycle --
-        # At the pinned level every tick repeats the same pattern:
-        # drains (and decay, at the very end of the tick) open
-        # headroom, deposits consume it greedily in creation order,
-        # and whatever survives the cycle is the carry the next tick
-        # starts from.  The steady carry solves accepted(carry) ==
-        # produced; accepted is monotone in the carry, so bisect.
-        for i in hover_rows:
-            taps_i = sorted(set(list(const_from.get(i, ()))
-                                + list(prop_from.get(i, ()))
-                                + list(const_into.get(i, ()))))
-            for j in prop_from.get(i, ()):
-                if mode[snk[j]] != _FULL:
-                    hov[j] = rate[j] * lvl[i]
-            produced = (_plain_sum([eff[j] for j in const_from.get(i, ())])
-                        + _plain_sum([hov[j]
-                                      for j in prop_from.get(i, ())])
-                        + pin_loss[i])
-
-            def _accepted(carry: float, i: int = i,
-                          taps_i: List[int] = taps_i) -> float:
-                h = carry
-                took = 0.0
-                for j in taps_i:
-                    if src[j] == i:
-                        h += eff[j] if const[j] else hov[j]
-                    elif eff[j] > 0.0:
-                        a = min(eff[j], h)
-                        took += a
-                        h -= a
-                return took
-
-            hi_c = produced + _plain_sum(
-                [eff[j] for j in const_into.get(i, ())])
-            lo_c = 0.0
-            if _accepted(hi_c) < produced * (1.0 - SAT_RTOL):
-                return None  # deposits cannot sustain the hover
-            for _ in range(60):
-                mid = 0.5 * (lo_c + hi_c)
-                if _accepted(mid) >= produced:
-                    hi_c = mid
-                else:
-                    lo_c = mid
-            h = hi_c
-            for j in taps_i:
-                if src[j] == i:
-                    h += eff[j] if const[j] else hov[j]
-                elif eff[j] > 0.0:
-                    a = min(eff[j], h)
-                    eff[j] = a
-                    h -= a
-
-        # -- empty pins: fixpoint over the pass-through distribution --
-        # A reserve at zero whose constant drains outrun its inflow
-        # sits pinned: each tick deposits arrive first (creation
-        # order) and the drains clamp to them.  Effective drain rates
-        # only shrink as upstream reserves pin, so the EMPTY set grows
-        # monotonically and the loop settles within n passes.  Live
-        # proportional inflow makes the pass-through time-varying: the
-        # fully-fed prefix of drains still runs at nominal rate, and
-        # one *marginal* drain carries the affine remainder (a ``fwd``
-        # entry; its saturation monitor ends the segment if the
-        # allocation pattern would change).
-        fwd_map: Dict[int, tuple] = {}
-        candidates = [i for i in range(n)
-                      if i != root and mode[i] == _NORMAL
-                      and lvl[i] <= boundary and const_from.get(i)]
-        for _ in range(n + 2):
-            changed = False
-            for i in candidates:
-                if mode[i] != _NORMAL and mode[i] != _EMPTY:
-                    continue
-                drains = [j for j in const_from.get(i, ())
-                          if mode[snk[j]] != _FULL]
-                out_rate = _plain_sum([rate[j] for j in drains])
-                if out_rate <= 0.0:
-                    continue
-                c_in = _plain_sum([eff[j] for j in const_into.get(i, ())])
-                c_in += _plain_sum([hov[j] for j in prop_into.get(i, ())
-                                    if mode[src[j]] == _HOVER])
-                live_prop = [j for j in prop_into.get(i, ())
-                             if mode[src[j]] == _NORMAL]
-                p_in = _plain_sum([rate[j] * max(0.0, lvl[src[j]])
-                                   for j in live_prop])
-                if c_in + p_in >= out_rate - 1e-15:
-                    if mode[i] == _EMPTY:
-                        mode[i] = _NORMAL
-                        changed = True
-                    if fwd_map.pop(i, None) is not None:
-                        changed = True
-                    for j in drains:
-                        if eff[j] != rate[j]:
-                            eff[j] = rate[j]
-                            changed = True
-                    continue
-                if mode[i] != _EMPTY:
-                    mode[i] = _EMPTY
-                    changed = True
-                if not live_prop:
-                    if fwd_map.pop(i, None) is not None:
-                        changed = True
-                    remainder = c_in
-                    for j in drains:
-                        e = min(remainder, rate[j])
-                        if eff[j] != e:
-                            eff[j] = e
-                            remainder -= e
-                            changed = True
-                        else:
-                            remainder -= e
-                    continue
-                # Forwarded pass-through: prefix at nominal rate, one
-                # marginal drain carries ``cpart + Σ w·L_src(t)``.
-                if any(rate[j] > 0.0 for j in prop_from.get(i, ())):
-                    # A proportional drain leaving the pinned row flows
-                    # O(tick) in the reference loop (each tick's deposit
-                    # lands before the drain reads the level), which no
-                    # tick-size-independent closed form reproduces at
-                    # figure tolerance.  Residual refusal.
-                    return None
-                i0 = c_in + p_in
-                r_prev = 0.0
-                marginal = -1
-                for j in drains:
-                    if marginal < 0 and r_prev + rate[j] <= i0:
-                        if eff[j] != rate[j]:
-                            eff[j] = rate[j]
-                            changed = True
-                        r_prev += rate[j]
-                    else:
-                        if marginal < 0:
-                            marginal = j
-                        if eff[j] != 0.0:
-                            eff[j] = 0.0
-                            changed = True
-                srcs = tuple(src[j] for j in live_prop)
-                wts = tuple(rate[j] for j in live_prop)
-                tol = (SAT_RTOL * max(1.0, rate[marginal])
-                       + 4.0 * ltol * sum(wts))
-                entry = (marginal, float(c_in - r_prev), srcs, wts,
-                         float(tol))
-                if fwd_map.get(i) != entry:
-                    fwd_map[i] = entry
-                    changed = True
-            if not changed:
-                break
-        else:
-            return None  # pass-through cycle did not settle
-        if mode[root] != _NORMAL:
-            return None  # a non-normal battery has no rewrite
-
-        # -- post-validation of the level-dependent pins --
-        for j, cpart, srcs, wts, tol in fwd_map.values():
-            if mode[snk[j]] != _NORMAL:
-                return None  # forwarded-into-pinned cascade
-            if any(mode[s] != _NORMAL for s in srcs):
-                return None  # settled modes invalidated the forwarding
-        for i in hover_rows:
-            for j in const_into.get(i, ()):
-                if eff[j] <= 0.0:
-                    continue
-                s = src[j]
-                if mode[s] != _NORMAL or lvl[s] <= boundary:
-                    return None  # acceptance split needs a firm source
-            for j in (list(const_from.get(i, ()))
-                      + list(prop_from.get(i, ()))):
-                if mode[snk[j]] == _HOVER:
-                    return None  # hover-to-hover adjacency
-        return (np.array(mode, dtype=np.int8), np.array(eff, dtype=float),
-                np.array(hov, dtype=float), np.array(pin_loss, dtype=float),
-                tuple(sorted(fwd_map.values())))
 
     def _build_regime(self, mode: np.ndarray, eff: np.ndarray,
                       hov: np.ndarray, pin_loss: np.ndarray,

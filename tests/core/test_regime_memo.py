@@ -28,10 +28,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import spansolver
+from repro.core import segkernel, spansolver
 from repro.core.graph import ResourceGraph
-from repro.core.spansolver import (_DEBT, _EMPTY, _FULL, _HOVER,
-                                   SpanTier)
+from repro.core.segkernel import _DEBT, _EMPTY, _FULL, _HOVER
+from repro.core.spansolver import SpanTier
 from repro.core.tap import TapType
 from repro.sim.engine import CinderSystem
 from repro.sim.process import CpuBurn, Sleep
@@ -43,9 +43,14 @@ from .test_span_caches import reference_clamp_safe_rows
 # -- references: the span tier without lookups or the early exit -----------
 
 
+def derive(tier, lvl, lam, ltol):
+    """The mode derivation over ``tier``'s topology."""
+    return segkernel.derive_modes(lvl, lam, ltol, tier._modes_pack())
+
+
 def deriving_regime_for(tier, lvl, lam, ltol):
     """``_regime_for`` without the lookup: derive, key by the spec."""
-    derived = tier._derive_modes(lvl, lam, ltol)
+    derived = derive(tier, lvl, lam, ltol)
     if derived is None:
         return None
     mode, eff, hov, pin_loss, fwd = derived
@@ -273,15 +278,17 @@ def spec_of(derived):
 class Recorder:
     """Counts a tier's derivations and remembers each regime's spec."""
 
-    def __init__(self, tier):
+    def __init__(self, tier, monkeypatch):
         self.derivations = 0
         self.specs = {}
-        derive = tier._derive_modes
+        derive_modes = segkernel.derive_modes
+        pack = tier._modes_pack()
         build = tier._build_regime
 
-        def counted_derive(*args):
-            self.derivations += 1
-            return derive(*args)
+        def counted_derive(lvl, lam, ltol, topology):
+            if topology is pack:
+                self.derivations += 1
+            return derive_modes(lvl, lam, ltol, topology)
 
         def recorded_build(mode, eff, hov, pin_loss, fwd, lam):
             regime = build(mode, eff, hov, pin_loss, fwd, lam)
@@ -289,7 +296,7 @@ class Recorder:
                                               fwd))
             return regime
 
-        tier._derive_modes = counted_derive
+        monkeypatch.setattr(segkernel, "derive_modes", counted_derive)
         tier._build_regime = recorded_build
 
 
@@ -298,7 +305,8 @@ class Recorder:
 
 class TestClassificationLookup:
     @pytest.mark.parametrize("seed", range(6))
-    def test_lookups_return_what_a_fresh_tier_derives(self, seed):
+    def test_lookups_return_what_a_fresh_tier_derives(self, seed,
+                                                      monkeypatch):
         rng = np.random.default_rng(20261016 + seed)
         seen = {"hits": 0, "debt": 0, "empty": 0, "full": 0, "hover": 0,
                 "fwd": 0, "none": 0, "pure_empty": 0, "pure_debt": 0}
@@ -307,7 +315,7 @@ class TestClassificationLookup:
             g = motif_graph(rng, decay)
             lam = g.decay_policy.lam if decay else 0.0
             tier = g.span_plan_handle().span_tier
-            record = Recorder(tier)
+            record = Recorder(tier, monkeypatch)
             lvl = random_levels(tier, rng)
             for step in range(60):
                 if step % 3 == 0:
@@ -318,8 +326,7 @@ class TestClassificationLookup:
                 before = record.derivations
                 got = tier._regime_for(lvl.copy(), lam, ltol)
                 hit = record.derivations == before
-                fresh = SpanTier(tier.plan)._derive_modes(lvl.copy(), lam,
-                                                          ltol)
+                fresh = derive(SpanTier(tier.plan), lvl.copy(), lam, ltol)
                 if fresh is None:
                     assert got is None
                     seen["none"] += 1
@@ -341,7 +348,7 @@ class TestClassificationLookup:
                 assert len(tier._regimes) <= 17
         assert all(seen.values()), seen
 
-    def test_equal_classifications_share_one_regime(self):
+    def test_equal_classifications_share_one_regime(self, monkeypatch):
         g = steady_graph()
         tier = g.span_plan_handle().span_tier
         names = [r.name for r in tier.plan.reserves]
@@ -349,7 +356,7 @@ class TestClassificationLookup:
         lvl[int(tier.plan.root_index)] = 900.0
         lvl[names.index("task")] = 0.0
         lvl[names.index("debtor")] = -2.0
-        record = Recorder(tier)
+        record = Recorder(tier, monkeypatch)
         first = tier._regime_for(lvl, 0.0, ltol_of(lvl))
         assert first.mode[names.index("task")] == _EMPTY
         assert first.mode[names.index("debtor")] == _DEBT
@@ -460,8 +467,7 @@ class TestPurity:
             again[names.index(row)] = 3.0 - 1e-9
         again[names.index("feeder")] = 3.0
         other = tier._regime_for(again, 0.0, ltol_of(again))
-        fresh = SpanTier(tier.plan)._derive_modes(again, 0.0,
-                                                  ltol_of(again))
+        fresh = derive(SpanTier(tier.plan), again, 0.0, ltol_of(again))
         assert tier._regimes[(0.0,) + spec_of(fresh)] is other
         assert classification_keys(tier) == []
         if row in ("hover", "junction"):
@@ -650,15 +656,15 @@ def outcome(devices):
     return np.array(values).tobytes()
 
 
-def counting(monkeypatch, name):
+def counting(monkeypatch, owner, name):
     calls = []
-    original = getattr(SpanTier, name)
+    original = getattr(owner, name)
 
-    def counted(self, *args):
+    def counted(*args):
         calls.append(1)
-        return original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(SpanTier, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -670,8 +676,8 @@ class TestEndToEnd:
             for _ in range(60):
                 slow.run(60.0)
         with pytest.MonkeyPatch.context() as mp:
-            derivations = counting(mp, "_derive_modes")
-            exits = counting(mp, "_must_segment")
+            derivations = counting(mp, segkernel, "derive_modes")
+            exits = counting(mp, SpanTier, "_must_segment")
             fast = switching_device()
             for _ in range(60):
                 fast.run(60.0)
