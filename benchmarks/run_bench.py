@@ -61,7 +61,6 @@ for _path in (_REPO_ROOT, _SRC):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro.core import segkernel                      # noqa: E402
 from repro.core.graph import ResourceGraph            # noqa: E402
 from repro.core.tap import TapType                    # noqa: E402
 from repro.sim.engine import CinderSystem             # noqa: E402
@@ -371,12 +370,11 @@ def run_switching_macro() -> dict:
         "span_segments": fast.span_segments,
         "span_switches": fast.graph.span_switches,
         # The segmented wall split: switch *location* (sampling +
-        # bisection — the compiled-kernel target) vs segment
-        # *integration* (phi-function propagation).
+        # bisection) vs segment *integration* (phi-function
+        # propagation).
         "span_locate_wall_s": round(fast.graph.span_locate_wall_s, 4),
         "span_integrate_wall_s": round(
             fast.graph.span_integrate_wall_s, 4),
-        "segkernel_backend": segkernel.BACKEND,
         "worst_level_abs_err": worst_level_abs,
         "conservation_error_j": fast.graph.conservation_error(),
     }
@@ -421,17 +419,24 @@ def run_batched_switching() -> dict:
     batched (``cohort_demotions == 0``), the stacked solve must match
     the scalar segmented reference within documented ulp tolerance
     (stacked matrix products reorder a handful of float ops), and the
-    whole thing must keep the macro-step speedup class.
+    whole thing must keep the macro-step speedup class.  The speedup
+    is the median of three alternating (fast-forward, tick-slice)
+    pairs, as in :func:`run_fleet`.
     """
-    fast_wall = float("inf")
-    world = None
+    fast_walls = []
+    slice_walls = []
+    ratios = []
     for _ in range(3):
-        candidate = build_switching_fleet(True)
+        world = build_switching_fleet(True)
         start = time.perf_counter()
-        candidate.run(BATCH_SWITCH_SIM_S)
-        wall = time.perf_counter() - start
-        if wall < fast_wall:
-            fast_wall, world = wall, candidate
+        world.run(BATCH_SWITCH_SIM_S)
+        fast_walls.append(time.perf_counter() - start)
+        tick_world = build_switching_fleet(False)
+        start = time.perf_counter()
+        run_per_device(tick_world, BATCH_SWITCH_TICK_SLICE_S)
+        slice_walls.append(time.perf_counter() - start)
+        ratios.append((slice_walls[-1] / BATCH_SWITCH_TICK_SLICE_S)
+                      / (fast_walls[-1] / BATCH_SWITCH_SIM_S))
 
     # The scalar segmented reference: same fleet, one device at a time.
     scalar = build_switching_fleet(True)
@@ -442,24 +447,17 @@ def run_batched_switching() -> dict:
             denom = max(1.0, abs(rs.level))
             worst_rel = max(worst_rel, abs(rf.level - rs.level) / denom)
 
-    slice_wall = float("inf")
-    for _ in range(3):
-        tick_world = build_switching_fleet(False)
-        start = time.perf_counter()
-        run_per_device(tick_world, BATCH_SWITCH_TICK_SLICE_S)
-        slice_wall = min(slice_wall, time.perf_counter() - start)
-    speedup = ((slice_wall / BATCH_SWITCH_TICK_SLICE_S)
-               / (fast_wall / BATCH_SWITCH_SIM_S))
     locate_wall = sum(d.graph.span_locate_wall_s for d in world.devices)
     integrate_wall = sum(d.graph.span_integrate_wall_s
                          for d in world.devices)
     return {
         "devices": BATCH_SWITCH_DEVICES,
         "simulated_s": BATCH_SWITCH_SIM_S,
-        "fast_forward_wall_s": round(fast_wall, 3),
+        "fast_forward_wall_s": round(statistics.median(fast_walls), 3),
         "tick_slice_s": BATCH_SWITCH_TICK_SLICE_S,
-        "tick_slice_wall_s": round(slice_wall, 3),
-        "speedup_vs_tick": round(speedup, 2),
+        "tick_slice_wall_s": round(statistics.median(slice_walls), 3),
+        "speedup_vs_tick": round(statistics.median(ratios), 2),
+        "speedup_vs_tick_pairs": [round(r, 2) for r in ratios],
         "cohort_spans": world.cohort_spans,
         "cohort_demotions": world.cohort_demotions,
         "cohort_fallbacks": world.cohort_fallbacks,
@@ -467,7 +465,6 @@ def run_batched_switching() -> dict:
         "span_segments": world.span_segments,
         "span_locate_wall_s": round(locate_wall, 4),
         "span_integrate_wall_s": round(integrate_wall, 4),
-        "segkernel_backend": segkernel.BACKEND,
         "worst_batched_vs_scalar_rel": worst_rel,
         "worst_conservation_error_j": max(
             abs(d.graph.conservation_error()) for d in world.devices),

@@ -7,8 +7,7 @@ rounds actually iterate, stacked cohort spans dominate scalar
 fallbacks, the poll-skip cache fires, conservation holds, and the
 whole thing finishes in seconds) catch a broken or degraded cohort
 path long before the full bench matrix reports.  CI runs it in the
-bench-smoke job and again in the numba-kernel leg, so the scheduler
-is exercised over both segkernel backends.
+bench-smoke job, and tier-1 collects it with the other benches.
 """
 
 from __future__ import annotations

@@ -49,7 +49,12 @@ Runtime validity checks (per segment, per tick):
 * total requested outflow from each reserve must not exceed its
   positive level at segment start (guarantees no sequential clamp;
   a CONST tap that is the *sole* drain of its source is clamped
-  exactly instead and never triggers a fallback);
+  exactly instead — to the segment-start level plus the constant
+  deposits that reach the source earlier in the segment — and never
+  triggers a fallback).  One exception: when one of those earlier
+  deposits comes from another clampable tap, that deposit may itself
+  clamp and deliver less than the clamped drain counted on, so the
+  source keeps the check and may refuse;
 * inflow into each finite-capacity reserve must fit its headroom.
 
 Per-tap cumulative flow is accumulated in a plan-owned array and only
@@ -238,8 +243,14 @@ class FlowPlan:
         # source in the segment, a clamp would falsify that tap's
         # compile-time corr term, so it keeps the unclamped amount and
         # relies on the runtime no-clamp check (fallback on failure).
+        # The clamped amount counts the source's earlier in-segment
+        # constant deposits (corr), so the no-clamp check skips the
+        # source — unless one of those deposits is itself clampable:
+        # it may deliver less than corr assumes.
         clampable = np.zeros(m, dtype=bool)
         segments = []
+        checked = []
+        n = len(self.reserves)
         for lo, hi in bounds:
             counts: Dict[int, int] = {}
             prop_sources = set()
@@ -248,12 +259,23 @@ class FlowPlan:
                 counts[s] = counts.get(s, 0) + 1
                 if not self.const_mask[j]:
                     prop_sources.add(s)
+            clamp_fed = set()
+            unchecked = []
             for j in range(lo, hi):
-                if (self.const_mask[j] and clamp_ok[j]
-                        and counts[int(self.src[j])] == 1
-                        and int(self.src[j]) not in prop_sources
-                        and int(self.snk[j]) not in prop_sources):
+                s = int(self.src[j])
+                k = int(self.snk[j])
+                if (self.const_mask[j] and clamp_ok[j] and counts[s] == 1
+                        and s not in prop_sources
+                        and k not in prop_sources):
                     clampable[j] = True
+                    if s not in clamp_fed:
+                        unchecked.append(s)
+                    clamp_fed.add(k)
+            mask = None
+            if unchecked:
+                mask = np.ones(n, dtype=bool)
+                mask[unchecked] = False
+            checked.append(mask)
             seg_const = self.const_mask[lo:hi]
             mode = (_CONST_ONLY if seg_const.all()
                     else _PROP_ONLY if not seg_const.any() else _MIXED)
@@ -262,6 +284,9 @@ class FlowPlan:
         self.clampable = clampable
         self.corr = corr
         self.segments = segments
+        #: Each segment's mask of the columns its no-clamp check reads
+        #: (None: all of them).
+        self.seg_checked = checked
         #: Each segment's ``(src, snk)`` index slices.
         self.seg_index = [(self.src[lo:hi], self.snk[lo:hi])
                           for lo, hi, _, _, _ in segments]
@@ -386,8 +411,9 @@ def execute_tick_batch(plans: List[FlowPlan],
         finite_cap = lead.finite_cap
         cap_finite = lead.capacity[finite_cap]
         for (lo, hi, mode, has_clamp, has_corr), (src, snk), \
-                flat in zip(lead.segments, lead.seg_index,
-                            _tick_indices(lead, d)):
+                flat, checked in zip(lead.segments, lead.seg_index,
+                                     _tick_indices(lead, d),
+                                     lead.seg_checked):
             pos = np.maximum(work, 0.0)
             if mode == _CONST_ONLY and not has_clamp:
                 # Level-independent amounts, equal on every row: one
@@ -418,6 +444,8 @@ def execute_tick_batch(plans: List[FlowPlan],
                               minlength=rows * n).reshape(rows, n)
             # One test per check; per-row verdicts only on a violation.
             bad = out > pos
+            if checked is not None:
+                bad &= checked
             if bad.any():
                 ok &= ~bad.any(axis=1)
                 if not ok.any():

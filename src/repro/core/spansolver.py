@@ -88,10 +88,14 @@ one: the single-regime tiers with their bounds and commit
 (:func:`_debt_boundary`), the certificate
 (:meth:`_SegmentRegime.certify_batch`), the switch locator
 (:func:`_locate_switches`) and the commit bookkeeping
-(:func:`_commit_rows`).  Only the segment loops and their per-segment
-flows stay twinned, because on one device their stacked forms cost
-more than the scalar ones (docs/performance.md, "Two entry points, one
-copy of each step").
+(:func:`_commit_rows`).  Every linear regime — the coupled tier's
+whole topology and each segment's reduced system — is one
+:class:`LinearSystem`, and its :meth:`~LinearSystem.integrals` is the
+one integral all of them run, on the eigenvalue or the Padé path.
+Only the segment loops and their per-segment flows stay twinned,
+because on one device their stacked forms cost more than the scalar
+ones (docs/performance.md, "Two entry points, one copy of each
+step").
 """
 
 from __future__ import annotations
@@ -242,8 +246,8 @@ def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     One exponential of it yields both the state and its time integral:
     rows ``:n`` carry ``L' = A L + b`` (with the constant ``1`` state
     at index ``n`` driving ``b``), rows ``n+1:`` carry ``J' = L``.
-    Shared by every dense (Padé) path — the scalar coupled solver, the
-    batched cohort solver, and the segment propagator.
+    Shared by every dense (Padé) path: :meth:`LinearSystem.integrals`
+    and the event scan's trajectory queries.
     """
     n = a.shape[0]
     m = np.zeros((2 * n + 1, 2 * n + 1))
@@ -254,15 +258,14 @@ def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _eig_span_factors(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                      b: np.ndarray, t: float) -> tuple:
+                      b: np.ndarray, t: np.ndarray) -> tuple:
     """The level-independent operands of the eigenvalue propagation.
 
     ``(e^{wt}, phi1(wt), t·(phi1·cb), t²·(phi2·cb))`` with ``cb =
-    V^-1 b``: each is a whole subexpression of the propagation
-    formula in its own parenthesization, so a formula fed cached
-    factors rounds exactly like one that computes them in place.
-    ``t`` is one span (:func:`_eig_state_integral`) or a ``(d, 1)``
-    column of per-row spans (:meth:`CoupledSystem.integrals`).
+    V^-1 b`` and ``t`` a ``(d, 1)`` column of per-row spans: each is a
+    whole subexpression of the propagation formula in its own
+    parenthesization, so a formula fed cached factors rounds exactly
+    like one that computes them in place (:meth:`LinearSystem.integrals`).
     """
     w, v, vinv = eig
     cb = vinv @ b
@@ -270,46 +273,7 @@ def _eig_span_factors(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
     return ez, p1, t * (p1 * cb), (t * t) * (p2 * cb)
 
 
-def _eig_state_integral(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                        lvl: np.ndarray, t: float,
-                        factors: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """``(L(t), J(t))`` on the eigenvalue path of ``L' = A L + b``.
-
-    A regime propagator's one-row segment solve.  ``factors`` is
-    :func:`_eig_span_factors` of the same ``(eig, b, t)``, which the
-    propagators cache per span length.
-    """
-    w, v, vinv = eig
-    ez, p1, drive, drive_integ = factors
-    c0 = vinv @ lvl
-    end = (v @ (ez * c0 + drive)).real
-    integ = (v @ (t * (p1 * c0) + drive_integ)).real
-    return end, integ
-
-
-def _cached_propagate(system, lvl: np.ndarray,
-                      t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``(L(t), J(t))`` of a regime propagator (:class:`_SegmentPropagator`).
-
-    Everything that depends only on the system and ``t`` — the
-    eigenvalue path's exp/phi factors, or the Padé path's augmented
-    exponential — is kept in ``system.span_cache`` keyed by ``(t,
-    system)``, so a span of a length the system has solved before
-    costs only the level-dependent products.
-    """
-    if system.eig is not None:
-        cached = system.span_cache.get((t, system))
-        if cached is None:
-            cached = _remember(system.span_cache, (t, system),
-                               _eig_span_factors(system.eig, system.b, t))
-        return _eig_state_integral(system.eig, lvl, t, cached)
-    n = system.n
-    result = (_dense_propagator(system, t)
-              @ np.concatenate([lvl, [1.0], np.zeros(n)]))
-    return result[:n], result[n + 1:]
-
-
-def _dense_propagator(system, t: float) -> np.ndarray:
+def _dense_propagator(system: "LinearSystem", t: float) -> np.ndarray:
     """The Padé path's ``expm`` of the augmented matrix at span ``t``.
 
     Kept in ``system.span_cache`` under the key the eigenvalue path's
@@ -383,24 +347,6 @@ def _dense_state_at_batch(aug: np.ndarray, lvls: np.ndarray,
     return out
 
 
-def _eig_propagate_batch(eig: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                         b: np.ndarray, lvls: np.ndarray,
-                         t: np.ndarray) -> np.ndarray:
-    """``J(t_i) = ∫_0^{t_i} L dt`` per device (stacked integration).
-
-    The segmented engine commits levels by mass balance from the
-    integrated flows, so only the integral is needed here.
-    """
-    w, v, vinv = eig
-    c0 = lvls @ vinv.T
-    cb = vinv @ b
-    z = t[:, None] * w
-    tc = t[:, None]
-    _, p1, p2 = _phi12(z)
-    return ((tc * (p1 * c0) + (tc * tc) * (p2 * cb))
-            @ v.T).real
-
-
 def _rowwise_bincount(cols: np.ndarray, weights: np.ndarray,
                       n: int) -> np.ndarray:
     """``out[r, cols[k]] += weights[r, k]`` over a ``(g, n)`` stack.
@@ -439,36 +385,53 @@ def _trusted_eig(a: np.ndarray
     return w, v, vinv
 
 
-class CoupledSystem:
-    """``L' = A L + b`` for one topology epoch at one decay constant.
+def _coupled_matrices(tier: "SpanTier", lam: float
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` of a tier's whole topology at decay constant ``lam``.
 
-    Built once per (plan, lam) and cached on the :class:`SpanTier`:
-    the expensive part — the eigendecomposition, or per-span Padé
-    exponentials of the augmented matrix — amortizes across every span
-    the epoch serves.
+    The coupled tier's system: every proportional tap and the global
+    decay in ``A``, every constant tap in ``b``.
+    """
+    plan = tier.plan
+    n = len(plan.reserves)
+    a = np.zeros((n, n))
+    for j in plan.prop_taps:
+        s, k, f = int(plan.src[j]), int(plan.snk[j]), plan.rate[j]
+        a[s, s] -= f
+        a[k, s] += f
+    if lam > 0.0 and plan.any_decayable:
+        decayable = np.flatnonzero(plan.decay_mask)
+        a[decayable, decayable] -= lam
+        a[plan.root_index, decayable] += lam
+    return a, tier.const_in - tier.const_out
+
+
+class LinearSystem:
+    """``L' = A L + b``: one linear regime of a tier's reserves.
+
+    The coupled tier's whole topology at one decay constant (built by
+    :func:`_coupled_matrices`, cached per ``lam`` on the
+    :class:`SpanTier`) and each segment regime's reduced system (the
+    one left after the segment's pins and drops) are both one of
+    these, and :meth:`integrals` is the one integral every caller
+    runs: the coupled solve, the one-device segment flows and the
+    stacked segment chain.  The expensive part — the
+    eigendecomposition, or per-span Padé exponentials of the augmented
+    matrix — amortizes across every span the system serves.  Event
+    location (:func:`_locate_switches`) reads :attr:`eig`, :attr:`a`
+    and :attr:`b` for its trajectory queries.
     """
 
-    def __init__(self, tier: "SpanTier", lam: float) -> None:
-        plan = tier.plan
-        n = len(plan.reserves)
-        a = np.zeros((n, n))
-        for j in plan.prop_taps:
-            s, k, f = int(plan.src[j]), int(plan.snk[j]), plan.rate[j]
-            a[s, s] -= f
-            a[k, s] += f
-        if lam > 0.0 and plan.any_decayable:
-            decayable = np.flatnonzero(plan.decay_mask)
-            a[decayable, decayable] -= lam
-            a[plan.root_index, decayable] += lam
+    def __init__(self, a: np.ndarray, b: np.ndarray,
+                 span_cache: Dict[tuple, object]) -> None:
         self.a = a
-        self.b = tier.const_in - tier.const_out
-        self.n = n
+        self.b = b
         #: (eigenvalues, V, V^-1) when the eigenbasis is trusted.
         self.eig: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = \
-            _trusted_eig(self.a)
-        #: The tier's per-span cache, where :meth:`integrals` keeps
-        #: this system's level-independent factors.
-        self.span_cache: Dict[tuple, object] = tier.span_cache
+            _trusted_eig(a)
+        #: The owning tier's per-span cache, where :meth:`integrals`
+        #: keeps this system's level-independent factors.
+        self.span_cache = span_cache
         #: Telemetry/testing: which solve path this system uses.
         self.mode = "dense" if self.eig is None else "eig"
 
@@ -503,34 +466,6 @@ class CoupledSystem:
         return integ
 
 
-class _SegmentPropagator:
-    """Closed-form evaluator for one regime's ``L' = A L + b``.
-
-    Unlike :class:`CoupledSystem` (one system per topology epoch) a
-    propagator describes one *regime* — the linear system left after a
-    segment's pins and drops — and must answer trajectory queries at
-    arbitrary instants for event location (:func:`_locate_switches`).
-    The eigenvalue path makes those queries a couple of matrix-vector
-    products; the Padé path pays one augmented-matrix exponential per
-    query (regimes are small, and event location runs only when a
-    switch is near).
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray,
-                 span_cache: Dict[tuple, object]) -> None:
-        self.a = a
-        self.b = b
-        self.n = a.shape[0]
-        self.eig = _trusted_eig(a)
-        #: The owning tier's per-span cache (see _cached_propagate).
-        self.span_cache = span_cache
-
-    def propagate(self, lvl: np.ndarray,
-                  t: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``(L(t), J(t))`` where ``J = ∫_0^t L dt``."""
-        return _cached_propagate(self, lvl, t)
-
-
 class _SegmentRegime:
     """One piecewise-linear regime: pins, effective rates, monitors.
 
@@ -540,7 +475,7 @@ class _SegmentRegime:
     its pinned level; a forwarded pass-through's allocation split is
     set by the levels at derivation time), so regimes are cached on
     the tier keyed by the full derived spec — levels enter the
-    propagator only as its initial condition.
+    regime's :class:`LinearSystem` only as its initial condition.
 
     ``span_cache`` is the tier's per-span cache, where the certificate
     keeps ``(t, regime, "certify")`` -> ``(exp(-f·t), 1 - exp(-f·t))``.
@@ -742,12 +677,11 @@ def _locate_switches(regime: _SegmentRegime, lvls: np.ndarray,
     """Earliest instant in each row's ``(0, rem_i]`` a switch fires.
 
     Samples each row's closed-form trajectory on a uniform grid (the
-    scan runs in :mod:`repro.core.segkernel` — compiled when numba is
-    available), then bisects each first violating bracket down to
-    ``1e-12·rem_i``.  Trajectories come from the regime's propagator:
-    its eigendecomposition when trusted, otherwise one Padé step
-    exponential per row for the grid and one exponential per
-    bisection query.
+    scan is :func:`repro.core.segkernel.first_hits`), then bisects each
+    first violating bracket down to ``1e-12·rem_i``.  Trajectories come
+    from the regime's :class:`LinearSystem`: its eigendecomposition
+    when trusted, otherwise one Padé step exponential per row for the
+    grid and one exponential per bisection query.
 
     Returns ``(instant, located, crossed, crossed_sat)`` per row.  A
     located instant is the last *clean* time — integrating to it lands
@@ -853,8 +787,8 @@ class SpanTier:
         #: Everything that depends only on a span length and this
         #: tier's topology, one budget for the whole tier (at most
         #: :data:`SPAN_CACHE_MAX` entries): ``(span, system)`` -> a
-        #: coupled system's or regime propagator's factors
-        #: (:func:`_cached_propagate`), ``(span, regime, "certify")``
+        #: :class:`LinearSystem`'s factors
+        #: (:meth:`LinearSystem.integrals`), ``(span, regime, "certify")``
         #: -> a regime certificate's, and ``(span, "clamp", f bytes)``
         #: -> the clamp bound's.
         self.span_cache: Dict[tuple, object] = {}
@@ -878,7 +812,7 @@ class SpanTier:
         #: never leave the single-regime solvers).
         self._modes: Optional[tuple] = None
         #: lam -> the coupled linear system at that decay constant.
-        self._coupled: Dict[float, CoupledSystem] = {}
+        self._coupled: Dict[float, LinearSystem] = {}
         #: lam -> :meth:`_dynamics` at that decay constant.
         self._dynamics_at: Dict[float, tuple] = {}
         #: Cached :class:`_SegmentRegime` objects under two key shapes
@@ -1436,7 +1370,7 @@ class SpanTier:
             const_idx=const_idx,
             prop_idx=prop_idx,
             decay_rows=decay_rows,
-            system=_SegmentPropagator(a, b, self.span_cache),
+            system=LinearSystem(a, b, self.span_cache),
             clamp_rows=clamp_rows,
             cert_rows=clamp_rows[~always_safe[clamp_rows]],
             cap_rows=cap_rows,
@@ -1462,7 +1396,8 @@ class SpanTier:
         """One segment's exact flows; staged, mutates nothing."""
         plan = self.plan
         n = len(plan.reserves)
-        integ = np.maximum(regime.system.propagate(lvl, t)[1], 0.0)
+        integ = np.maximum(
+            regime.system.integrals(lvl[None, :], np.array([t]))[0], 0.0)
         moved = np.zeros(len(plan.taps))
         if regime.const_idx.size:
             moved[regime.const_idx] = regime.eff[regime.const_idx] * t
@@ -1579,8 +1514,8 @@ def execute_span_batch(tiers: List[SpanTier],
     horizons (the fleet frontier's event-time buckets): devices at
     different clocks still share one eigendecomposition and one
     stacked switch-location scan, because every propagation formula is
-    elementwise in ``t`` — only the dense Padé fallback keys a
-    propagator per span value and solves per-span sub-stacks.  A
+    elementwise in ``t`` — only the dense Padé fallback keys an
+    exponential per span value and solves per-span sub-stacks.  A
     vector of equal spans is bit-identical to the scalar call.
 
     The cohort entry point.  Levels stack into one ``(n_devices,
@@ -1629,10 +1564,10 @@ def _single_regime(tiers: List[SpanTier], spans: np.ndarray, lam: float,
       stack: every operation is elementwise or a per-row ``bincount``
       in tap order);
     * the **coupled** tier reuses a *single* eigendecomposition (or
-      Padé propagator) of the lead tier's cached
-      :class:`CoupledSystem` across the stacked ``L0`` — one
+      Padé exponential) of the lead tier's cached whole-topology
+      :class:`LinearSystem` across the stacked ``L0`` — one
       factorization and a couple of matrix products instead of ``d``
-      separate solves (:meth:`CoupledSystem.integrals`).
+      separate solves (:meth:`LinearSystem.integrals`).
 
     Levels commit by per-row mass balance, so conservation stays exact
     however the linear algebra rounded.
@@ -1688,7 +1623,8 @@ def _single_regime(tiers: List[SpanTier], spans: np.ndarray, lam: float,
     if coupled:
         system = lead._coupled.get(lam)
         if system is None:
-            system = CoupledSystem(lead, lam)
+            system = LinearSystem(*_coupled_matrices(lead, lam),
+                                  lead.span_cache)
             if len(lead._coupled) > 4:  # decay toggles are rare
                 lead._coupled.clear()
             lead._coupled[lam] = system
@@ -1774,18 +1710,19 @@ def _batch_segmented(tiers: List[SpanTier], span, lam: float,
     and its per-segment flows are its own, while each step it runs —
     the regime lookup, the certify-first boundary
     (:func:`_debt_boundary`), the certificate, the switch locator
-    (:func:`_locate_switches`) and the commit (:func:`_commit_rows`) —
-    is the one the one-device loop runs on a stack of one.  Devices
-    switch at different instants, so each carries its own
-    remaining-span clock and segment count; every round absorbs dust,
-    groups the still-active devices by their *derived regime* (cached
-    on the lead tier, so one shared eigendecomposition serves every
-    device in the same regime) and advances each group to its
-    members' next switches in one stacked locate/integrate pass.
+    (:func:`_locate_switches`), the integral
+    (:meth:`LinearSystem.integrals`, eigen or Padé) and the commit
+    (:func:`_commit_rows`) — is the one the one-device loop runs on a
+    stack of one.  Devices switch at different instants, so each
+    carries its own remaining-span clock and segment count; every
+    round absorbs dust, groups the still-active devices by their
+    *derived regime* (cached on the lead tier, so one shared
+    eigendecomposition or Padé exponential serves every device in the
+    same regime) and advances each group to its members' next
+    switches in one stacked locate/integrate pass.
 
     Per-device drop-out covers only the genuinely unsupported shapes —
-    an underivable regime, a dense (Padé) regime propagator (the
-    stacked flows are eigen-only), a failed no-switch certificate, a
+    an underivable regime, a failed no-switch certificate, a
     sub-resolution segment, or a chain past :data:`MAX_SEGMENTS`.  A
     dropped device's ``results`` entry stays ``None`` with nothing
     mutated: the caller's one-device path (which may itself refuse
@@ -1837,7 +1774,7 @@ def _batch_segmented(tiers: List[SpanTier], span, lam: float,
         groups: Dict[int, Tuple[_SegmentRegime, List[int]]] = {}
         for i in np.flatnonzero(active):
             regime = lead._regime_for(work[i], lam, float(ltol[i]))
-            if regime is None or regime.system.eig is None:
+            if regime is None:
                 alive[i] = False
                 continue
             groups.setdefault(id(regime), (regime, []))[1].append(i)
@@ -1848,8 +1785,6 @@ def _batch_segmented(tiers: List[SpanTier], span, lam: float,
             lt = ltol[rows]
             rem = remaining[rows]
             n_sat = regime.sat[3].shape[0]
-            eig = regime.system.eig
-            b_sys = regime.system.b
             t0 = perf_counter()
             seg_t = rem.copy()
             located = np.zeros(gr, dtype=bool)
@@ -1881,8 +1816,7 @@ def _batch_segmented(tiers: List[SpanTier], span, lam: float,
                 k_pos = np.flatnonzero(keep)
                 t_seg = seg_t[k_pos]
                 integ = np.maximum(
-                    _eig_propagate_batch(eig, b_sys, lvls[k_pos], t_seg),
-                    0.0)
+                    regime.system.integrals(lvls[k_pos], t_seg), 0.0)
                 gk = k_pos.size
                 seg_moved = np.zeros((gk, m))
                 if regime.const_idx.size:

@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 class EventSource:
     """One component's contract with the idle fast-forward machinery."""
 
-    #: Display name for diagnostics (``Horizon.describe``).
+    #: Display name for diagnostics (:meth:`Horizon.blockers`).
     name: str = "source"
 
     #: Whether the last ``next_event`` answer was *firm* — an exact
@@ -160,33 +160,22 @@ class Horizon:
         """Registered sources (copy)."""
         return list(self._sources)
 
-    def quiescent(self, now: float) -> bool:
-        """True iff every source permits a macro-step."""
-        return all(source.quiescent(now) for source in self._sources)
-
-    def next_event(self, now: float, deadline: float) -> float:
-        """Earliest instant anything can happen, capped at ``deadline``."""
-        horizon = deadline
-        for source in self._sources:
-            instant = source.next_event(now)
-            if instant is not None and instant < horizon:
-                horizon = instant
-        return horizon
-
     def poll(self, now: float, deadline: float
              ) -> Tuple[bool, float, bool, bool]:
         """``(quiescent, horizon, firm, executes)`` in one source pass.
 
-        The batched entry point fleet schedulers use: one traversal
-        answers both questions :meth:`quiescent` and :meth:`next_event`
-        would, plus two properties of the *binding* instant (the min):
-        whether it is firm — cacheable across iterations — or a
-        conservative checkpoint that must be re-polled
-        (:attr:`EventSource.horizon_firm`), and whether landing on it
-        requires a normal step or merely closes a constant-power span
-        (:attr:`EventSource.horizon_executes`).  A non-quiescent
-        answer is reported firm: the veto must be re-examined every
-        iteration anyway.
+        The one entry point engines and fleet schedulers use: one
+        traversal answers whether every source permits a macro-step
+        (each :meth:`EventSource.quiescent`) and the earliest instant
+        anything can happen, capped at ``deadline`` (the min of each
+        :meth:`EventSource.next_event`), plus two properties of that
+        *binding* instant: whether it is firm — cacheable across
+        iterations — or a conservative checkpoint that must be
+        re-polled (:attr:`EventSource.horizon_firm`), and whether
+        landing on it requires a normal step or merely closes a
+        constant-power span (:attr:`EventSource.horizon_executes`).  A
+        non-quiescent answer is reported firm: the veto must be
+        re-examined every iteration anyway.
         """
         for quiescent in self._veto_checks:
             if not quiescent(now):

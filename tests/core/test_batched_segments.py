@@ -21,29 +21,108 @@ call (see the cohort-segment section of docs/performance.md):
   (single segment, zero switches) instead of sampling;
 * randomized heterogeneous cohorts either match the scalar result or
   drop out device-by-device, never mutating a dropped device;
-* the compiled (`numba`) and fallback (numpy) switch-location kernels
-  agree **bit-identically** on random monitor packs — the kernel is
-  transcendental-free by construction, so this is exact equality, and
-  the CI numba leg runs this file to prove it.
+* the vectorized switch-location scan agrees **bit-identically** with
+  a per-sample loop that early-exits at the first violation (the
+  oracles :func:`first_hits_loops` / :func:`violated_at_loops` below)
+  on random monitor packs — the scan is transcendental-free by
+  construction, so this is exact equality.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from repro.core import segkernel
+from repro.core import segkernel, spansolver
 from repro.core.graph import ResourceGraph
 from repro.core.spansolver import execute_span_batch
 from repro.core.tap import TapType
+from repro.sim.world import World
+from tests.sim.world_oracle import run_per_device
 
 REL_TOL = 2e-3
 ULP_RTOL = 1e-9
 TICK = 0.01
+
+
+def first_hits_loops(states, clamp_rows, cap_rows, cap_limits,
+                     debt_rows, ltol, sat_ptr, sat_src, sat_wts,
+                     sat_c, sat_lo, sat_hi, sat_tol):
+    """Loop-shaped :func:`segkernel.first_hits` (the scan's oracle).
+
+    Early-exits per device at the first violated sample; arithmetic
+    per monitor is the scan's (comparisons plus in-order
+    accumulation), so results must match bit for bit.
+    """
+    g, k, _ = states.shape
+    out = np.full(g, -1, dtype=np.int64)
+    for d in range(g):
+        tol = ltol[d]
+        for s in range(k):
+            bad = False
+            for r in range(clamp_rows.shape[0]):
+                if states[d, s, clamp_rows[r]] < -tol:
+                    bad = True
+                    break
+            if not bad:
+                for r in range(cap_rows.shape[0]):
+                    if states[d, s, cap_rows[r]] > cap_limits[r]:
+                        bad = True
+                        break
+            if not bad:
+                for r in range(debt_rows.shape[0]):
+                    if states[d, s, debt_rows[r]] > -tol:
+                        bad = True
+                        break
+            if not bad:
+                for m in range(sat_c.shape[0]):
+                    y = sat_c[m]
+                    for t in range(sat_ptr[m], sat_ptr[m + 1]):
+                        y = y + sat_wts[t] * states[d, s, sat_src[t]]
+                    if (y < sat_lo[m] - sat_tol[m]
+                            or y > sat_hi[m] + sat_tol[m]):
+                        bad = True
+                        break
+            if bad:
+                out[d] = s
+                break
+    return out
+
+
+def violated_at_loops(states, clamp_rows, cap_rows, cap_limits,
+                      debt_rows, ltol, sat_ptr, sat_src, sat_wts,
+                      sat_c, sat_lo, sat_hi, sat_tol):
+    """Loop-shaped :func:`segkernel.violated_at` (the scan's oracle)."""
+    g = states.shape[0]
+    out = np.zeros(g, dtype=np.bool_)
+    for d in range(g):
+        tol = ltol[d]
+        bad = False
+        for r in range(clamp_rows.shape[0]):
+            if states[d, clamp_rows[r]] < -tol:
+                bad = True
+                break
+        if not bad:
+            for r in range(cap_rows.shape[0]):
+                if states[d, cap_rows[r]] > cap_limits[r]:
+                    bad = True
+                    break
+        if not bad:
+            for r in range(debt_rows.shape[0]):
+                if states[d, debt_rows[r]] > -tol:
+                    bad = True
+                    break
+        if not bad:
+            for m in range(sat_c.shape[0]):
+                y = sat_c[m]
+                for t in range(sat_ptr[m], sat_ptr[m + 1]):
+                    y = y + sat_wts[t] * states[d, sat_src[t]]
+                if (y < sat_lo[m] - sat_tol[m]
+                        or y > sat_hi[m] + sat_tol[m]):
+                    bad = True
+                    break
+        out[d] = bad
+    return out
 
 
 def tiers_for(graphs):
@@ -90,24 +169,14 @@ class TestStaggeredSwitchCohorts:
     def test_staggered_clamps_solve_batched_and_match(self):
         """Same topology, staggered task levels: every device clamps
         at its own instant inside one stacked call."""
-        def build_one(i):
-            g = ResourceGraph(1_000.0)
-            g.decay_policy.enabled = False
-            task = g.create_reserve(level=2.0 + 0.3 * i, source=g.root,
-                                    name="task")
-            g.create_tap(g.root, task, 0.02, name="feed")
-            archive = g.create_reserve(name="archive")
-            g.create_tap(task, archive, 0.05, name="drain")
-            return g
-
         span = 200.0  # clamps land at ~66..166 s, all mid-span
         batched, results, scalar, scalar_results = run_batch_vs_scalar(
-            build_one, 6, span)
+            build_staggered_clamp, 6, span)
         for i in range(6):
             assert_ulp_parity(batched[i], scalar[i], results[i],
                               scalar_results[i])
-            assert_matches_ticks(batched[i], build_one, i, span,
-                                 abs_tol=3 * 0.05 * TICK)
+            assert_matches_ticks(batched[i], build_staggered_clamp, i,
+                                 span, abs_tol=3 * 0.05 * TICK)
             assert batched[i].span_switches == 1
 
     def test_mixed_switch_classes_in_one_cohort(self):
@@ -135,6 +204,68 @@ class TestStaggeredSwitchCohorts:
             assert_matches_ticks(batched[i], build_one, i, span,
                                  abs_tol=3 * 0.03 * TICK)
             assert batched[i].span_switches >= 2
+
+
+def build_staggered_clamp(i):
+    """Same topology, staggered task levels: each clamps mid-span."""
+    g = ResourceGraph(1_000.0)
+    g.decay_policy.enabled = False
+    task = g.create_reserve(level=2.0 + 0.3 * i, source=g.root,
+                            name="task")
+    g.create_tap(g.root, task, 0.02, name="feed")
+    archive = g.create_reserve(name="archive")
+    g.create_tap(task, archive, 0.05, name="drain")
+    return g
+
+
+class TestPadeRegimesInBatch:
+    """A regime whose eigenbasis is not trusted integrates on the Padé
+    path inside the stacked chain, as it does on one device, instead
+    of demoting its device to the one-device path."""
+
+    def test_pade_cohort_solves_in_the_stacked_call(self, monkeypatch):
+        monkeypatch.setattr(spansolver, "_trusted_eig", lambda a: None)
+        span = 200.0
+        batched, results, scalar, scalar_results = run_batch_vs_scalar(
+            build_staggered_clamp, 6, span)
+        assert None not in results
+        for i in range(6):
+            assert_ulp_parity(batched[i], scalar[i], results[i],
+                              scalar_results[i])
+            assert batched[i].span_switches == 1
+        regimes = tiers_for(batched)[0]._regimes.values()
+        assert regimes and all(r.system.eig is None for r in regimes)
+
+    def test_pade_cohort_never_demotes_in_a_world(self, monkeypatch):
+        monkeypatch.setattr(spansolver, "_trusted_eig", lambda a: None)
+
+        def build():
+            world = World(tick_s=0.01, seed=17, fast_forward=True)
+            for i in range(6):
+                device = world.add_device(name=f"sw{i}",
+                                          record_interval_s=5.0,
+                                          decay_enabled=False)
+                task = device.new_reserve(name="task")
+                device.battery_reserve.transfer_to(task, 1.0 + 0.21 * i)
+                device.kernel.create_tap(device.battery_reserve, task,
+                                         0.02, name="task.feed")
+                archive = device.new_reserve(name="archive")
+                device.kernel.create_tap(task, archive, 0.05,
+                                         name="task.drain")
+            return world
+
+        world = build()
+        world.run(120.0)
+        assert world.cohort_demotions == 0
+        assert world.cohort_spans > 0
+        assert world.span_segments > 0
+        reference = build()
+        run_per_device(reference, 120.0)
+        for fast_dev, ref_dev in zip(world.devices, reference.devices):
+            for rf, rs in zip(fast_dev.graph.reserves,
+                              ref_dev.graph.reserves):
+                assert rf.level == pytest.approx(rs.level, rel=ULP_RTOL,
+                                                 abs=1e-12), rf.name
 
 
 class TestRetiredRegimesInBatch:
@@ -287,32 +418,14 @@ class TestKernelBackends:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_loops_match_vectorized_bit_identically(self, seed):
-        """The @njit source and the numpy fallback must agree exactly
-        — this is the same assertion the CI numba leg makes against
-        the *compiled* kernel."""
+        """The vectorized scan and the per-sample loop agree exactly."""
         rng = np.random.default_rng(100 + seed)
         pack = self._random_pack(rng)
-        from repro.core.segkernel import (_first_hits_loops,
-                                          _violated_at_loops)
-        expect = segkernel.first_hits_numpy(*pack)
-        assert np.array_equal(_first_hits_loops(*pack), expect)
+        expect = first_hits_loops(*pack)
+        assert np.array_equal(segkernel.first_hits(*pack), expect)
         one = (pack[0][:, 3, :],) + pack[1:]
-        expect_v = segkernel.violated_at_numpy(*one)
-        assert np.array_equal(_violated_at_loops(*one), expect_v)
-
-    @pytest.mark.skipif(segkernel.BACKEND != "numba",
-                        reason="numba not installed; fallback active")
-    @pytest.mark.parametrize("seed", range(8))
-    def test_compiled_matches_fallback_bit_identically(self, seed):
-        """On the numba CI leg: the compiled kernel vs the fallback,
-        bit for bit."""
-        rng = np.random.default_rng(200 + seed)
-        pack = self._random_pack(rng)
-        assert np.array_equal(segkernel.first_hits(*pack),
-                              segkernel.first_hits_numpy(*pack))
-        one = (pack[0][:, 5, :],) + pack[1:]
-        assert np.array_equal(segkernel.violated_at(*one),
-                              segkernel.violated_at_numpy(*one))
+        expect_v = violated_at_loops(*one)
+        assert np.array_equal(segkernel.violated_at(*one), expect_v)
 
     def test_empty_sat_pack_means_no_sat_hits(self):
         rng = np.random.default_rng(7)
@@ -322,13 +435,3 @@ class TestKernelBackends:
         hits = segkernel.first_hits(states, none, none, np.zeros(0),
                                     none, ltol, *segkernel.EMPTY_SAT)
         assert (hits == -1).all()
-
-    def test_no_numba_escape_hatch_forces_numpy(self):
-        """CINDER_NO_NUMBA pins the fallback even where numba exists."""
-        env = dict(os.environ, CINDER_NO_NUMBA="1",
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.core import segkernel; print(segkernel.BACKEND)"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "numpy"

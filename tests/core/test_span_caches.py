@@ -241,23 +241,38 @@ def graph_tiers(graph):
     return [p._span_tier for p in plans if p._span_tier is not None]
 
 
-def chain_regime_system():
+def chain_regime_system(span_cache=None):
     a = np.array([[-0.05, 0.0, 0.0], [0.05, -0.04, 0.0],
                   [0.0, 0.04, -0.03]])
     b = np.array([0.02, 0.0, -0.01])
-    return spansolver._SegmentPropagator(a, b, {})
+    return spansolver.LinearSystem(a, b, {} if span_cache is None
+                                   else span_cache)
+
+
+def one_row_integral(system, lvl, t):
+    """``J(t)`` of one level vector: :meth:`LinearSystem.integrals` on a
+    stack of one, the form every one-device caller uses."""
+    integ = system.integrals(lvl[None, :], np.array([t]))
+    assert integ.shape == (1, lvl.size)
+    return integ[0]
+
+
+def reference_dense_integral(system, lvl, t):
+    """The Padé path written out: one augmented exponential."""
+    n = lvl.size
+    state = np.concatenate([lvl, [1.0], np.zeros(n)])
+    return (spansolver._expm(spansolver._augmented(system.a, system.b) * t)
+            @ state)[n + 1:]
 
 
 class TestPropagatorCache:
     def assert_exact(self, system, lvl, t):
-        end, integ = system.propagate(lvl, t)
-        uncached = spansolver._eig_state_integral(
-            system.eig, lvl, t,
-            spansolver._eig_span_factors(system.eig, system.b, t))
-        for ref in (uncached,
-                    reference_state_integral(system.eig, system.b, lvl, t)):
-            assert end.tobytes() == ref[0].tobytes()
-            assert integ.tobytes() == ref[1].tobytes()
+        integ = one_row_integral(system, lvl, t)
+        if system.eig is None:
+            ref = reference_dense_integral(system, lvl, t)
+        else:
+            ref = reference_state_integral(system.eig, system.b, lvl, t)[1]
+        assert integ.tobytes() == ref.tobytes()
 
     def test_miss_hit_and_eviction_are_bit_identical(self):
         system = chain_regime_system()
@@ -268,18 +283,21 @@ class TestPropagatorCache:
         assert list(system.span_cache) == [(0.99, system)]
         self.assert_exact(system, lvl1, 0.99)  # hit, other levels
         for k in range(SPAN_CACHE_MAX):
-            system.propagate(lvl0, 1.0 + 0.25 * k)
+            one_row_integral(system, lvl0, 1.0 + 0.25 * k)
         assert len(system.span_cache) <= SPAN_CACHE_MAX
         assert (0.99, system) not in system.span_cache  # cleared
         self.assert_exact(system, lvl1, 0.99)  # miss after eviction
 
-    def test_systems_sharing_a_cache_keep_their_own_factors(self):
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_systems_sharing_a_cache_keep_their_own_factors(
+            self, monkeypatch, dense):
+        if dense:
+            monkeypatch.setattr(spansolver, "_trusted_eig", lambda a: None)
         shared = {}
-        base = chain_regime_system()
-        first = spansolver._SegmentPropagator(base.a, base.b, shared)
-        other = spansolver._SegmentPropagator(
-            base.a, np.array([0.0, 0.03, -0.02]), shared)
-        assert first.eig is not None and other.eig is not None
+        first = chain_regime_system(shared)
+        other = spansolver.LinearSystem(
+            first.a, np.array([0.0, 0.03, -0.02]), shared)
+        assert (first.eig is None) == (other.eig is None) == dense
         lvl = np.array([3.0, 1.25, 0.5])
         for system in (first, other, first, other):
             self.assert_exact(system, lvl, 0.99)
@@ -289,31 +307,50 @@ class TestPropagatorCache:
                                                          monkeypatch):
         monkeypatch.setattr(spansolver, "_trusted_eig", lambda a: None)
         system = chain_regime_system()
-        assert system.eig is None
+        assert system.eig is None and system.mode == "dense"
         lvl = np.array([3.0, 1.25, 0.5])
-        state = np.concatenate([lvl, [1.0], np.zeros(3)])
         for _ in range(2):  # miss, then hit
-            end, integ = system.propagate(lvl, 0.75)
-            ref = spansolver._expm(
-                spansolver._augmented(system.a, system.b) * 0.75) @ state
-            assert end.tobytes() == ref[:3].tobytes()
-            assert integ.tobytes() == ref[4:].tobytes()
-        assert len(system.span_cache) == 1
+            self.assert_exact(system, lvl, 0.75)
+        assert list(system.span_cache) == [(0.75, system)]
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_stacks_of_per_row_spans_match_each_row(self, monkeypatch,
+                                                    dense):
+        """A multi-row stack integrates each row over its own span and
+        caches nothing under a row's span (a dense stack keeps one
+        exponential per span value); each row agrees with its own
+        one-row solve to the stacked chain's ulp tolerance."""
+        if dense:
+            monkeypatch.setattr(spansolver, "_trusted_eig", lambda a: None)
+        system = chain_regime_system()
+        lvl = np.array([[3.0, 1.25, 0.5], [0.7, 2.0, 4.5],
+                        [1.0, 0.0, 2.5], [0.2, 0.3, 0.4]])
+        spans = np.array([0.5, 7.0, 0.5, 30.0])
+        integ = system.integrals(lvl, spans)
+        if dense:
+            assert set(system.span_cache) == {(t, system)
+                                              for t in (0.5, 7.0, 30.0)}
+        else:
+            assert not system.span_cache
+        for got, row, t in zip(integ, lvl, spans):
+            want = one_row_integral(chain_regime_system(), row, float(t))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_coupled_system_cache_matches_fresh_factors(self):
         """The one-row coupled solve: a miss, a hit with other levels,
         then another span length, each equal to the formula."""
         g = feeds_graph(decay=True)
         tier = g.span_plan_handle().span_tier
-        system = spansolver.CoupledSystem(tier, g.decay_policy.lam)
+        lam = g.decay_policy.lam
+        system = spansolver.LinearSystem(
+            *spansolver._coupled_matrices(tier, lam), tier.span_cache)
         assert system.eig is not None
         lvl = np.array([500.0, 0.2, 0.1, 0.3, 1.0])
         for t, scale in ((0.5, 1.0), (0.5, 0.5), (2.0, 1.0)):
-            integ = system.integrals(scale * lvl[None, :], np.array([t]))
+            integ = one_row_integral(system, scale * lvl, t)
             ref = reference_state_integral(system.eig, system.b,
                                            scale * lvl, t)
-            assert integ.shape == (1, lvl.size)
-            assert integ[0].tobytes() == ref[1].tobytes()
+            assert integ.tobytes() == ref[1].tobytes()
         assert (0.5, system) in tier.span_cache
         assert (2.0, system) in tier.span_cache
 
@@ -462,17 +499,15 @@ class TestCacheLifetime:
             for a, b in zip(got[:3], want[:3]):
                 assert a.tobytes() == b.tobytes()
             assert got[3] == want[3]
-            for a, b in zip(regime.system.propagate(start, 5.0),
-                            fresh.system.propagate(start, 5.0)):
-                assert a.tobytes() == b.tobytes()
+            assert (one_row_integral(regime.system, start, 5.0).tobytes()
+                    == one_row_integral(fresh.system, start, 5.0).tobytes())
         # one shared cache, one entry per (span, owner) — never a
         # bare span another regime could read
         keys = set(tier.span_cache)
         for regime in (full, empty):
             assert (5.0, regime.system) in keys
         assert all(any(isinstance(part, (spansolver._SegmentRegime,
-                                         spansolver._SegmentPropagator,
-                                         spansolver.CoupledSystem))
+                                         spansolver.LinearSystem))
                        or part == "clamp" for part in key[1:])
                    for key in keys)
 

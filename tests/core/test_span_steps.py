@@ -15,7 +15,8 @@ for bit:
   and decay totals, per-tap flows and the return value — and sends the
   states they refused to the segmented engine;
 * an hour of a switching device ends where the scalar one-device path
-  (tiers, segment loop and commit) ends.
+  (tiers, segment loop, segment flows on the one-row integral, and
+  commit) ends.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def scalar_states(system, lvl, ts):
         return ((ez * (vinv @ lvl) + ts[:, None]
                  * (spansolver._phi1(z, ez) * (vinv @ system.b)))
                 @ v.T).real
-    n = system.n
+    n = len(lvl)
     step = spansolver._expm(spansolver._augmented(system.a, system.b)
                             * (ts[1] - ts[0]))
     state = np.concatenate([lvl, [1.0], np.zeros(n)])
@@ -64,9 +65,19 @@ def scalar_state_at(system, lvl, t):
         ez = np.exp(z)
         return (v @ (ez * (vinv @ lvl) + t * (spansolver._phi1(z, ez)
                                               * (vinv @ system.b)))).real
-    state = np.concatenate([lvl, [1.0], np.zeros(system.n)])
+    state = np.concatenate([lvl, [1.0], np.zeros(len(lvl))])
     return (spansolver._expm(spansolver._augmented(system.a, system.b) * t)
-            @ state)[:system.n]
+            @ state)[:len(lvl)]
+
+
+def scalar_integral(system, lvl, t):
+    """``J(t) = ∫_0^t L dt`` of a linear system from one level vector."""
+    if system.eig is not None:
+        return reference_state_integral(system.eig, system.b, lvl, t)[1]
+    n = len(lvl)
+    state = np.concatenate([lvl, [1.0], np.zeros(n)])
+    return (spansolver._expm(spansolver._augmented(system.a, system.b) * t)
+            @ state)[n + 1:]
 
 
 def scalar_violated(regime, state, ltol):
@@ -206,14 +217,9 @@ def scalar_coupled(tier, span, lam, lvl, f, linear):
             return None
     if not reference_clamp_ok(tier, lvl, span, f, linear):
         return None
-    system = spansolver.CoupledSystem(tier, lam)
-    if system.eig is not None:
-        integ = reference_state_integral(system.eig, system.b, lvl, span)[1]
-    else:
-        state = np.concatenate([lvl, [1.0], np.zeros(n)])
-        integ = (spansolver._expm(spansolver._augmented(system.a, system.b)
-                                  * span) @ state)[n + 1:]
-    integ = np.maximum(integ, 0.0)
+    system = spansolver.LinearSystem(
+        *spansolver._coupled_matrices(tier, lam), {})
+    integ = np.maximum(scalar_integral(system, lvl, span), 0.0)
     moved = np.zeros(len(plan.taps))
     if plan.const_taps.size:
         moved[plan.const_taps] = plan.rate[plan.const_taps] * span
@@ -262,6 +268,40 @@ def scalar_commit(tier, end, moved, lost, reclaimed):
             tap = plan.taps[j]
             tap.total_flowed = tap.total_flowed + moved[j]
     return float(moved.sum())
+
+
+def scalar_integrate_segment(tier, regime, lvl, t, lam):
+    """One segment's flows, on the one-row integral (or None)."""
+    plan = tier.plan
+    n = len(plan.reserves)
+    integ = np.maximum(scalar_integral(regime.system, lvl, t), 0.0)
+    moved = np.zeros(len(plan.taps))
+    if regime.const_idx.size:
+        moved[regime.const_idx] = regime.eff[regime.const_idx] * t
+    if regime.prop_idx.size:
+        moved[regime.prop_idx] = regime.prop_rate * integ[regime.prop_src]
+    if regime.hov_idx.size:
+        moved[regime.hov_idx] = regime.hov_rate * t
+    for j, cpart, fsrc, fwts in regime.fwd:
+        moved[j] = cpart * t + float(fwts @ integ[fsrc])
+    lost = np.zeros(n)
+    reclaimed = 0.0
+    if lam > 0.0 and regime.decay_rows.size:
+        lost[regime.decay_rows] = lam * integ[regime.decay_rows]
+    if regime.pin_rows.size:
+        lost[regime.pin_rows] = regime.pin_rates * t
+    if lost.any():
+        reclaimed = float(lost.sum())
+    end = (lvl
+           + np.bincount(plan.snk, weights=moved, minlength=n)
+           - np.bincount(plan.src, weights=moved, minlength=n)
+           - lost)
+    end[plan.root_index] += reclaimed
+    neg = np.minimum(end, 0.0)
+    neg[regime.mode == spansolver._DEBT] = 0.0
+    if float(neg.sum()) < -NEGATIVE_LEVEL_SLACK:
+        return None
+    return end, moved, lost, reclaimed
 
 
 def scalar_tiers(tier, span, lam, lvl):
@@ -327,7 +367,7 @@ def scalar_segmented(tier, span, lam, lvl):
             if switch[0] < min_seg or not certify(regime, *switch):
                 return None
             seg = (switch[0], located)
-        step = tier._integrate_segment(regime, lvl, seg[0], lam)
+        step = scalar_integrate_segment(tier, regime, lvl, seg[0], lam)
         if step is None:
             return None
         lvl, seg_moved, seg_lost, seg_reclaimed = step

@@ -11,6 +11,9 @@ applies itself).  The contracts pinned here:
 * that holds for a clampable sole drain, a refusal on capacity
   headroom, a refusal on decay reclaim into a capped root, and a tick
   with nothing eligible to decay;
+* a clampable sole drain fed earlier in its segment by a tap that
+  cannot clamp vectorizes and matches ``step_reference``, and one fed
+  by a deposit that clamps still refuses;
 * a stack of copies at different levels equals the oracle row by row,
   a refusing row stays untouched, and an all-refused stack returns all
   ``None`` and mutates nothing;
@@ -26,6 +29,7 @@ import pytest
 from repro.core import flowplan
 from repro.core.flowplan import (_CONST_ONLY, _PROP_ONLY,
                                  execute_tick_batch)
+from repro.core.graph import ResourceGraph
 from repro.core.tap import TapType
 
 from .test_flowplan import build_random_pair
@@ -38,7 +42,11 @@ DT = 0.01
 
 
 def scalar_tick(plan, dt):
-    """The former ``FlowPlan.execute_tick`` body, verbatim.
+    """The former ``FlowPlan.execute_tick`` body, verbatim but for one
+    edit: the no-clamp check skips the columns the plan marks
+    unchecked (``seg_checked``: the sources of clampable sole drains
+    whose earlier in-segment deposits cannot clamp), as the kernel's
+    does.
 
     Books nothing on the graph; :func:`oracle_step` adds what
     ``graph.step`` booked after it.
@@ -53,7 +61,8 @@ def scalar_tick(plan, dt):
     if m:
         const_amt, factors = plan._amounts_for(dt)
         finite_cap = plan.finite_cap
-        for lo, hi, mode, has_clamp, has_corr in plan.segments:
+        for (lo, hi, mode, has_clamp, has_corr), checked in zip(
+                plan.segments, plan.seg_checked):
             src = plan.src[lo:hi]
             snk = plan.snk[lo:hi]
             pos = np.maximum(work, 0.0)
@@ -76,7 +85,10 @@ def scalar_tick(plan, dt):
                     cl = plan.clampable[lo:hi]
                     amt = np.where(cl, np.minimum(amt, avail), amt)
             out = np.bincount(src, weights=amt, minlength=n)
-            if (out > pos).any():
+            bad = out > pos
+            if checked is not None:
+                bad &= checked
+            if bad.any():
                 return None
             inn = np.bincount(snk, weights=amt, minlength=n)
             if finite_cap.size:
@@ -298,6 +310,76 @@ class TestStackOfOne:
         assert assert_same_tick(kernels[0], oracles[0]) is not None
         assert kernels[0].decay_policy.total_reclaimed == reclaimed
         assert all(r.total_decayed == 0.0 for r in plan.reserves)
+
+
+# -- a sole drain fed earlier in its segment -------------------------------------
+
+
+def early_fed_drain(clampable_feed):
+    """``task``'s sole drain, fed earlier in the same constant segment.
+
+    The feed comes from the root, which drains twice (so the feed is
+    not clampable), or from ``mid``, whose sole drain it is (so it is
+    clampable and clamps on a low ``mid``).  ``task`` holds less than
+    its drain asks for and more than zero: the drain needs the feed.
+    """
+    g = ResourceGraph(1_000.0)
+    g.decay_policy.enabled = False
+    task = g.create_reserve(level=2e-4, source=g.root, name="task")
+    other = g.create_reserve(name="other")
+    g.create_tap(g.root, other, 0.01, name="other.feed")
+    if clampable_feed:
+        mid = g.create_reserve(level=1e-4, source=g.root, name="mid")
+        g.create_tap(mid, task, 0.05, name="task.feed")
+    else:
+        g.create_tap(g.root, task, 0.05, name="task.feed")
+    archive = g.create_reserve(name="archive")
+    g.create_tap(task, archive, 0.08, name="task.drain")
+    return g
+
+
+def tap_named(graph, name):
+    return next(t for t in graph.taps if t.name == name)
+
+
+class TestEarlyFedSoleDrain:
+    def test_a_root_fed_drain_vectorizes_and_matches_the_reference(self):
+        """Sequential firing drains the segment-start level plus the
+        root's deposit; the kernel clamps to the same and commits."""
+        kernel, ref = early_fed_drain(False), early_fed_drain(False)
+        plan = plan_of(kernel)
+        ((_, _, mode, has_clamp, _),) = plan.segments
+        assert mode == _CONST_ONLY and has_clamp
+        feed = tap_named(kernel, "task.feed")
+        assert not plan.clampable[plan.taps.index(feed)]
+        for _ in range(3):
+            assert plan.execute_tick(DT) is not None
+            ref.step_reference(DT)
+        assert kernel.vector_steps == 3
+        for rk, rr in zip(kernel.reserves, ref.reserves):
+            assert rk.level == pytest.approx(rr.level, rel=1e-12,
+                                             abs=1e-15), rk.name
+        for tk, tr in zip(kernel.taps, ref.taps):
+            assert tk.total_flowed == pytest.approx(
+                tr.total_flowed, rel=1e-12, abs=1e-15), tk.name
+        # the drain moved more than task held at the segment start
+        assert tap_named(kernel, "task.drain").total_flowed > 2e-4
+
+    def test_a_drain_fed_by_a_clamping_deposit_still_refuses(self):
+        """The feed clamps on ``mid`` and delivers less than the
+        drain's clamp counted on: the kernel must refuse and leave the
+        tick to the reference path."""
+        kernel, ref = early_fed_drain(True), early_fed_drain(True)
+        plan = plan_of(kernel)
+        feed = tap_named(kernel, "task.feed")
+        assert plan.clampable[plan.taps.index(feed)]
+        before = ledger(plan)
+        assert plan.execute_tick(DT) is None
+        assert ledger(plan) == before
+        ref.step_reference(DT)
+        # what sequential firing moved: task's level plus mid's all
+        assert tap_named(ref, "task.drain").total_flowed == \
+            pytest.approx(3e-4, rel=1e-12)
 
 
 # -- stacks of many ---------------------------------------------------------------
