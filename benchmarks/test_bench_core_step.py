@@ -11,7 +11,10 @@ must macro-step a 3-deep-chained hour >= 5x with zero span refusals
 and trajectories inside the documented tolerance; the segmented span
 engine must macro-step a regime-switching hour (mid-span drain
 clamps, debt zero-crossings) >= 14x with zero refusals and the
-switches actually located; the cohort-stacked segment chain must
+switches actually located; those four hours must each execute
+at most a ceiling of normal ticks per simulated hour (trace records
+are written without ticks, so only the workload's own events tick);
+the cohort-stacked segment chain must
 carry a 32-device switch-bound fleet >= 18x with zero demotions and
 ulp-level parity against the scalar segmented path; the cohort-batched
 50-device World fleet must beat tick-slicing >= 12x (noise-proof
@@ -56,6 +59,15 @@ FLEET_1K_US_PER_DEVICE_S = 110.0
 #: measurement for shared runners.
 FLEET_1K_STAGGERED_US_PER_DEVICE_S = 30.0
 FLEET_1K_STAGGERED_WALL_LIMIT_S = 45.0
+
+#: Ceilings on the ticks each fast-forwarded hour executes one at a
+#: time (clock ticks less fast-forwarded ones), per simulated hour.
+#: Deterministic counts, so no runner noise: twice the measured
+#: 120 / 21 / 120 / 120 (the maintenance wakes and CPU bursts, and
+#: netd's polls).  A trace record that ticked again would read
+#: 3,718 / 1,816 / 3,718 / 3,718.
+NORMAL_TICKS_PER_HOUR = {"macro": 240, "netd_macro": 42,
+                         "chain_macro": 240, "switching_macro": 240}
 
 
 def test_bench_micro_vectorized_step(benchmark):
@@ -144,6 +156,14 @@ def test_bench_core_speedups(run_once):
         "batched segment chains drifted from the scalar segmented "
         "reference beyond ulp tolerance")
     assert batched["worst_conservation_error_j"] < 1e-8
+
+    for name, ceiling in NORMAL_TICKS_PER_HOUR.items():
+        per_hour = (results[name]["normal_ticks"]
+                    / results[name]["simulated_hours"])
+        assert per_hour <= ceiling, (
+            f"{name} executed {per_hour:g} normal ticks per simulated "
+            f"hour (ceiling {ceiling}): something ticks that a span "
+            f"should carry")
 
     fleet = results["fleet"]
     assert fleet["devices"] >= 50

@@ -4,7 +4,8 @@ The full bench suite's ``switching_macro`` runs a simulated hour; this
 file is the PR-gating smoke: a single device whose spans cross a
 mid-span drain clamp and a debt zero-crossing inside ten simulated
 minutes, floored on macro-step speedup over a tick slice, zero
-refusals, located switches, and conservation.  A second smoke runs a
+refusals, a ceiling on ticks executed one at a time, located
+switches, and conservation.  A second smoke runs a
 small switch-bound *cohort* through the stacked segment chain and
 asserts it stays batched (zero demotions) with ulp-level parity
 against the scalar segmented path.  CI runs both in the same fast job
@@ -29,6 +30,10 @@ SMOKE_TICK_SLICE_S = 60.0
 #: noise) — it exists to catch order-of-magnitude regressions fast.
 SMOKE_SPEEDUP_FLOOR = 3.0
 SMOKE_WALL_LIMIT_S = 20.0
+#: Ceiling on ticks executed one at a time, per simulated hour.  The
+#: smoke device runs no process, so its spans carry the whole run
+#: (measured 0); a trace record that ticked again would read 3,600.
+SMOKE_NORMAL_TICKS_PER_HOUR = 60.0
 
 
 def _build(fast_forward: bool) -> CinderSystem:
@@ -93,6 +98,11 @@ def test_switching_smoke_floors():
         f"(floor {SMOKE_SPEEDUP_FLOOR}x)")
     assert system.span_refusals == 0, (
         "the segmented engine refused spans the smoke workload needs")
+    normal_ticks = system.clock.ticks - system.fast_forwarded_ticks
+    per_hour = normal_ticks * 3600.0 / SMOKE_SIM_S
+    assert per_hour <= SMOKE_NORMAL_TICKS_PER_HOUR, (
+        f"switching smoke executed {per_hour:g} normal ticks per "
+        f"simulated hour (ceiling {SMOKE_NORMAL_TICKS_PER_HOUR:g})")
     assert system.graph.span_switches >= 2
     assert system.span_segments > 0
     assert abs(system.graph.conservation_error()) < 1e-9

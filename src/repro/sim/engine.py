@@ -341,22 +341,37 @@ class DeviceRuntime:
             self._account_burn(ran, dt)
 
         # 5. physical power integration
+        power, radio_watts = self._system_power(now, ran is not None)
+        self.meter.feed(power, dt)
+        self.battery.drain(power * dt)
+        if self._record_due(now):
+            self._record(now, power, radio_watts)
+
+        self.clock.advance()
+
+    def _system_power(self, now: float,
+                      cpu_busy: bool) -> Tuple[float, float]:
+        """``(system power, radio watts)`` drawn at ``now``: a tick's
+        (``cpu_busy`` from its quantum) or a span's (idle CPU)."""
         radio_watts = self.radio.power_above_baseline(now)
         if self._power_sources:
             radio_watts += sum(source(now)
                                for source in self._power_sources)
-        power = self.model.system_power(cpu_busy=ran is not None,
+        power = self.model.system_power(cpu_busy=cpu_busy,
                                         backlight_on=self.backlight_on,
                                         radio_watts=radio_watts)
-        self.meter.feed(power, dt)
-        self.battery.drain(power * dt)
-        if now - self._last_record >= self.record_interval_s - 1e-12:
-            self.trace.record("power.system", now, power)
-            self.trace.record("power.radio", now, radio_watts)
-            self.trace.sample_probes(now)
-            self._last_record = now
+        return power, radio_watts
 
-        self.clock.advance()
+    def _record_due(self, now: float) -> bool:
+        """Whether the trace owes a record at ``now``."""
+        return now - self._last_record >= self.record_interval_s - 1e-12
+
+    def _record(self, now: float, power: float, radio_watts: float) -> None:
+        """Write the trace record at ``now``: power, radio, probes."""
+        self.trace.record("power.system", now, power)
+        self.trace.record("power.radio", now, radio_watts)
+        self.trace.sample_probes(now)
+        self._last_record = now
 
     def run(self, duration_s: float) -> None:
         """Step until ``duration_s`` of simulated time has elapsed.
@@ -381,9 +396,11 @@ class DeviceRuntime:
         """Step until ``predicate()`` or ``max_s``; returns elapsed time.
 
         Shares :meth:`run`'s macro-step loop: the predicate is checked
-        after every normal step and at every event horizon (trace
-        records bound spans to one record interval, so a predicate is
-        never starved longer than that).
+        after every normal step and at every event horizon.  Trace
+        record instants still bound spans to one record interval —
+        a span lands there, and the record is written by the tick or
+        span that follows — so a predicate is never starved longer
+        than that.
         """
         start = self.clock.now
         deadline = start + max_s
@@ -423,6 +440,11 @@ class DeviceRuntime:
         firm — it has to be re-examined after the very next step
         anyway.
 
+        A due trace record does not force a tick: the trace bounds the
+        span at the *next* record instant, and the record due now is
+        written when the span opens (:meth:`_ff_begin`) or by the tick
+        taken instead.  Record instants are non-executing horizons.
+
         The poll itself never mutates device state, so a scheduler
         that polls once and acts later (the fleet frontier files the
         answer under its landing instant) sees exactly what an
@@ -443,7 +465,7 @@ class DeviceRuntime:
             # the window.
             return 0, True, True
         if not math.isfinite(horizon) or horizon <= now:
-            return 0, True, True  # e.g. the very first record is due
+            return 0, True, True  # e.g. a timer is due at this tick
         # The event fires inside the step at the first tick instant
         # >= horizon (step() compares with a 1e-12 slack); fast-forward
         # lands exactly on that tick and lets a normal step handle it.
@@ -484,7 +506,7 @@ class DeviceRuntime:
         return True
 
     def _ff_begin(self) -> Optional[List]:
-        """Gather the span's frozen taps, or None to refuse the span.
+        """Open a span: gather its frozen taps, or None to refuse it.
 
         Sources that integrate their own taps (netd pooled accrual)
         hold them out of the graph's span so nothing double-counts.
@@ -492,12 +514,24 @@ class DeviceRuntime:
         gpsd waiters sharing one reserve — are each sound in
         isolation, but replaying both would double-count the feed
         (root debited twice, both pools credited), so arbitrate here:
-        tick through, which is always correct.
+        tick through, which is always correct (that tick records).
+
+        A trace record due at the span's first instant is written
+        here, before the graph moves: the levels at that instant and
+        the span's constant power — the expression a tick uses, with
+        an idle CPU, which is what a tick there would draw, since
+        every source is quiescent and nothing is due.  Recording thus
+        needs no tick.  If the graph then refuses the span, the
+        fallback tick finds the record written and does not record
+        again.
         """
-        frozen = self.horizon.frozen_taps(self.clock.now)
+        now = self.clock.now
+        frozen = self.horizon.frozen_taps(now)
         if len(frozen) > 1 and len({id(t) for t in frozen}) != len(frozen):
             self._ff_refuse()
             return None
+        if self._record_due(now):
+            self._record(now, *self._system_power(now, False))
         return frozen
 
     @property
@@ -547,13 +581,7 @@ class DeviceRuntime:
         span = ticks * clock.tick_s
         self._span_refusing = False
         self.horizon.advance_span(now, span)
-        radio_watts = self.radio.power_above_baseline(now)
-        if self._power_sources:
-            radio_watts += sum(source(now)
-                               for source in self._power_sources)
-        return self.model.system_power(cpu_busy=False,
-                                       backlight_on=self.backlight_on,
-                                       radio_watts=radio_watts)
+        return self._system_power(now, False)[0]
 
     def _ff_commit_finish(self, ticks: int, power: float) -> None:
         """Second half of :meth:`_ff_commit`: the caller has fed the

@@ -55,7 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 class EventSource:
     """One component's contract with the idle fast-forward machinery."""
 
-    #: Display name for diagnostics (:meth:`Horizon.blockers`).
+    #: Human-readable label (a ``DevicePort`` takes
+    #: ``device:<name>`` from the source it wraps).
     name: str = "source"
 
     #: Whether the last ``next_event`` answer was *firm* — an exact
@@ -70,13 +71,14 @@ class EventSource:
 
     #: Whether the last ``next_event`` instant *requires a normal
     #: step* when the engine lands on it.  True for almost everything
-    #: (a timer fires, a sleeper wakes, a record is due, a pump
-    #: crossing executes — a fresh poll at the landing returns 0).
-    #: False for pure *power boundaries*: instants where only the
+    #: (a timer fires, a sleeper wakes, a pump crossing executes — a
+    #: fresh poll at the landing returns 0).  False for instants where
+    #: the engine may immediately open the next span without
+    #: executing a tick: pure *power boundaries*, where only the
     #: constant-draw assumption ends (the radio's activation-ramp
-    #: end), after which the engine may immediately open the next
-    #: span without executing a tick.  Fleet schedulers use this to
-    #: answer "tick now" from a cached firm target without re-polling.
+    #: end), and trace record instants, whose record the next span
+    #: writes as it opens.  Fleet schedulers use this to answer "tick
+    #: now" from a cached firm target without re-polling.
     horizon_executes: bool = True
 
     def quiescent(self, now: float) -> bool:
@@ -105,7 +107,6 @@ class Horizon:
     """
 
     def __init__(self) -> None:
-        self._sources: List[EventSource] = []
         #: Sources that actually override the span hooks (everything
         #: else is a no-op there): computed at registration so the
         #: per-macro-step loops touch only the participating sources
@@ -138,27 +139,8 @@ class Horizon:
 
     def add(self, source: EventSource) -> EventSource:
         """Register a source; returns it for caller convenience."""
-        self._sources.append(source)
         self._classify(source)
         return source
-
-    def remove(self, source: EventSource) -> None:
-        """Unregister a source (device detach)."""
-        if source in self._sources:
-            self._sources.remove(source)
-        if source in self._frozen_sources:
-            self._frozen_sources.remove(source)
-        if source in self._span_sources:
-            self._span_sources.remove(source)
-        self._veto_checks = [check for check in self._veto_checks
-                             if check.__self__ is not source]
-        self._event_checks = [entry for entry in self._event_checks
-                              if entry[1] is not source]
-
-    @property
-    def sources(self) -> List[EventSource]:
-        """Registered sources (copy)."""
-        return list(self._sources)
 
     def poll(self, now: float, deadline: float
              ) -> Tuple[bool, float, bool, bool]:
@@ -207,11 +189,6 @@ class Horizon:
         for source in self._span_sources:
             source.advance_span(now, span)
 
-    def blockers(self, now: float) -> List[str]:
-        """Names of non-quiescent sources (diagnostics)."""
-        return [source.name for source in self._sources
-                if not source.quiescent(now)]
-
 
 # ---------------------------------------------------------------------------
 # runtime-side adapters
@@ -250,15 +227,28 @@ class SleeperHeapSource(EventSource):
 
 
 class TraceCadenceSource(EventSource):
-    """The next trace-record instant: bounds every span to one interval."""
+    """The next trace-record instant: bounds every span to one interval.
+
+    A record instant is a non-executing horizon: landing there needs
+    no tick.  A record due at ``now`` is written by the tick taken at
+    ``now``, if any — post-tick levels with the tick's power — or else
+    when the span from ``now`` opens
+    (:meth:`~repro.sim.engine.DeviceRuntime._ff_begin`) — the levels
+    at ``now`` with the span's power.  So while a record is due the
+    answer is the record after it: the due record alone never forces
+    a tick.
+    """
 
     name = "trace"
+    horizon_executes = False
 
     def __init__(self, runtime: "DeviceRuntime") -> None:
         self._runtime = runtime
 
     def next_event(self, now: float) -> Optional[float]:
         runtime = self._runtime
+        if runtime._record_due(now):
+            return now + runtime.record_interval_s
         return runtime._last_record + runtime.record_interval_s
 
 

@@ -1,6 +1,6 @@
 """The event-source runtime: pooled-netd fast-forward and Worlds.
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 * **Pooled-wait equivalence** — a netd keepalive/poller workload whose
   threads block in the §5.5.2 pooled path must produce *bit-identical
@@ -13,19 +13,26 @@ Three contracts are pinned here:
 * **Event-source devices** — a power-only device no longer vetoes
   fast-forward, a legacy stepper still does, and a custom
   ``EventSource`` bounds spans at its declared events.
+* **When a sample is taken** — a record due at a tick is written by
+  that tick; one due where no tick happens is written when the next
+  span opens, with the span's power.  The ``power.*`` streams equal
+  ticking's, however the run is split, and the record cadence neither
+  forces ticks nor moves the final levels.
 """
 
 from __future__ import annotations
 
+import random
 from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.core.tap import TapType
 from repro.energy.meter import PowerMeter
 from repro.sim.engine import CinderSystem
 from repro.sim.events import EventSource, PeriodicSource
-from repro.sim.process import CpuBurn, Sleep
+from repro.sim.process import CpuBurn, NetRequest, Sleep
 from repro.sim.workload import fleet_of_pollers, periodic_poller
 from repro.sim.world import World
 
@@ -313,6 +320,116 @@ class TestDeviceEventSources:
         beats = [t for t in (7.0, 14.0, 21.0, 28.0)
                  if any(abs(t - s) < 1e-9 for s in seen)]
         assert len(beats) == 4
+
+
+def timer_tie_system(fast_forward: bool) -> CinderSystem:
+    """Timers at 30, 90 and 150 s, each on a 1 s record instant.
+
+    Each timer spawns a job that burns CPU from that very tick and
+    then sends through the radio, so the record at the timer's
+    instant carries a busy CPU, and later records fall on spans
+    during the radio's ramp and plateau.  A power-only device adds a
+    constant draw to every ``power.radio`` sample.
+    """
+    system = make_system(fast_forward=fast_forward, record_interval_s=1.0,
+                         seed=21)
+    reserve = system.powered_reserve(0.05, name="jobs")
+    system.battery_reserve.transfer_to(reserve, 200.0)
+    system.add_device(power=lambda now: 0.125)
+
+    def job(ctx):
+        yield CpuBurn(0.05)
+        yield NetRequest(bytes_out=64, bytes_in=0, destination="echo")
+
+    for when in (30.0, 90.0, 150.0):
+        system.schedule_at(when, partial(system.spawn, job, f"job{when:g}",
+                                         reserve=reserve))
+    return system
+
+
+def switching_device(record_interval_s: float) -> CinderSystem:
+    """Perfbench's ``device_switching`` device (seed 1), with the
+    record cadence as a parameter: 3-deep proportional chains, drain
+    clamps, debt crossings, and a once-a-minute maintenance wake."""
+    rng = random.Random(1)
+    system = CinderSystem(battery_joules=15_000.0, tick_s=0.01,
+                          record_interval_s=record_interval_s, seed=1)
+    kernel = system.kernel
+    root = system.battery_reserve
+    for i in range(3):
+        app = system.powered_reserve(0.06, name=f"app{i}")
+        sub = system.new_reserve(name=f"app{i}.sub")
+        subsub = system.new_reserve(name=f"app{i}.subsub")
+        kernel.create_tap(app, sub, 0.05, TapType.PROPORTIONAL,
+                          name=f"app{i}.t1")
+        kernel.create_tap(sub, subsub, 0.04, TapType.PROPORTIONAL,
+                          name=f"app{i}.t2")
+        kernel.create_tap(subsub, root, 0.03, TapType.PROPORTIONAL,
+                          name=f"app{i}.t3")
+        task = system.new_reserve(name=f"task{i}")
+        root.transfer_to(task, rng.uniform(2.0, 6.0))
+        kernel.create_tap(root, task, 0.02, name=f"task{i}.feed")
+        archive = system.new_reserve(name=f"task{i}.archive")
+        kernel.create_tap(task, archive, 0.05, name=f"task{i}.drain")
+        debtor = system.new_reserve(name=f"debtor{i}")
+        kernel.create_tap(root, debtor, 0.03, name=f"debtor{i}.repay")
+        kernel.create_tap(debtor, root, 0.05, TapType.PROPORTIONAL,
+                          name=f"debtor{i}.back")
+        debtor.consume(rng.uniform(2.0, 6.0), allow_debt=True)
+    phase = rng.uniform(0.0, 60.0)
+
+    def maintenance(ctx):
+        yield Sleep(phase)
+        while True:
+            yield CpuBurn(0.02)
+            yield Sleep(60.0)
+
+    worker = system.powered_reserve(0.200, name="maint")
+    system.spawn(maintenance, "maint", reserve=worker)
+    return system
+
+
+class TestWhenSamplesAreTaken:
+    """A record due where a tick happens is written by that tick
+    (post-tick levels, the tick's power); one due where no tick
+    happens is written when the next span opens (the levels at that
+    instant, the span's power).  Either way the power streams are
+    ticking's."""
+
+    @pytest.mark.parametrize("chunks", [[240.0], [60.0] * 4],
+                             ids=["one_call", "60s_calls"])
+    def test_power_streams_match_ticking(self, chunks):
+        fast = timer_tie_system(True)
+        slow = timer_tie_system(False)
+        for chunk in chunks:
+            fast.run(chunk)
+        slow.run(240.0)
+        # Spans carried the run: the records did not tick.
+        assert fast.clock.ticks - fast.fast_forwarded_ticks < 100
+        assert fast.radio.activation_count == 3
+        for name in ("power.system", "power.radio"):
+            fast_series = fast.trace.series(name)
+            slow_series = slow.trace.series(name)
+            assert np.array_equal(fast_series.times, slow_series.times)
+            assert np.array_equal(fast_series.values, slow_series.values)
+        busy = fast.trace.series("power.system")
+        at = {round(t, 6): v for t, v in zip(busy.times, busy.values)}
+        for when in (30.0, 90.0, 150.0):
+            assert at[when] > at[when - 1.0]  # the burst's own tick
+
+    def test_record_cadence_leaves_levels_and_ticks_alone(self):
+        levels = {}
+        for interval in (1.0, 60.0):
+            system = switching_device(interval)
+            for _ in range(60):
+                system.run(60.0)
+            normal_ticks = system.clock.ticks - system.fast_forwarded_ticks
+            assert normal_ticks <= 200, (
+                f"{normal_ticks} normal ticks per simulated hour at a "
+                f"{interval:g} s record cadence")
+            levels[interval] = [r.level for r in system.graph.reserves]
+        worst = max(abs(a - b) for a, b in zip(levels[1.0], levels[60.0]))
+        assert worst <= 1e-7
 
 
 def feed_reference(meter, watts, dt):
