@@ -69,6 +69,14 @@ FLEET_1K_STAGGERED_WALL_LIMIT_S = 45.0
 NORMAL_TICKS_PER_HOUR = {"macro": 240, "netd_macro": 42,
                          "chain_macro": 240, "switching_macro": 240}
 
+#: Ceilings on the spans each fast-forwarded hour commits, per
+#: simulated hour.  Deterministic counts: twice the measured 60 / 25 /
+#: 60 / 60 (a span ends only where something executes: the minute
+#: wakes and netd's polls).  A trace record that bounded spans again
+#: would read 3,657 / 1,819 / 3,657 / 3,657.
+SPANS_PER_HOUR = {"macro": 120, "netd_macro": 50,
+                  "chain_macro": 120, "switching_macro": 120}
+
 
 def test_bench_micro_vectorized_step(benchmark):
     graph = run_bench.build_micro_graph()
@@ -164,6 +172,13 @@ def test_bench_core_speedups(run_once):
             f"{name} executed {per_hour:g} normal ticks per simulated "
             f"hour (ceiling {ceiling}): something ticks that a span "
             f"should carry")
+    for name, ceiling in SPANS_PER_HOUR.items():
+        per_hour = (results[name]["spans"]
+                    / results[name]["simulated_hours"])
+        assert per_hour <= ceiling, (
+            f"{name} committed {per_hour:g} spans per simulated hour "
+            f"(ceiling {ceiling}): something that does not execute "
+            f"ends spans")
 
     fleet = results["fleet"]
     assert fleet["devices"] >= 50
@@ -210,14 +225,14 @@ def test_bench_core_speedups(run_once):
         f"{staggered['us_per_device_second']} us per device-second "
         f"(ceiling {FLEET_1K_STAGGERED_US_PER_DEVICE_S})")
     # The cohort path, not per-device fallback, must carry the run:
-    # randomized phases still land whole (cohort_token, lam) groups
-    # in each frontier bucket, and the poll-skip cache must fire.
+    # randomized phases still put whole (cohort_token, lam) groups
+    # in each frontier round, and the poll-skip cache must fire.
     assert staggered["independent_rounds"] > 0
     assert staggered["independent_cohort_spans"] > 0
     assert (staggered["independent_cohort_spans"]
             > 10 * staggered["independent_scalar_spans"]), (
         "staggered fleet degraded to scalar spans — the frontier "
-        "buckets are not forming cohorts")
+        "rounds are not forming cohorts")
     assert staggered["horizon_cache_hits"] > 0
     assert staggered["worst_conservation_error_j"] < 1e-8
     assert staggered["radio_activations"] >= 1000

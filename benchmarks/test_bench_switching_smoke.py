@@ -4,8 +4,8 @@ The full bench suite's ``switching_macro`` runs a simulated hour; this
 file is the PR-gating smoke: a single device whose spans cross a
 mid-span drain clamp and a debt zero-crossing inside ten simulated
 minutes, floored on macro-step speedup over a tick slice, zero
-refusals, a ceiling on ticks executed one at a time, located
-switches, and conservation.  A second smoke runs a
+refusals, ceilings on ticks executed one at a time and on committed
+spans, located switches, and conservation.  A second smoke runs a
 small switch-bound *cohort* through the stacked segment chain and
 asserts it stays batched (zero demotions) with ulp-level parity
 against the scalar segmented path.  CI runs both in the same fast job
@@ -22,6 +22,7 @@ import pytest
 from repro.core.tap import TapType
 from repro.sim.engine import CinderSystem
 from repro.sim.world import World
+from run_bench import count_spans
 from tests.sim.world_oracle import run_per_device
 
 SMOKE_SIM_S = 600.0
@@ -34,6 +35,11 @@ SMOKE_WALL_LIMIT_S = 20.0
 #: smoke device runs no process, so its spans carry the whole run
 #: (measured 0); a trace record that ticked again would read 3,600.
 SMOKE_NORMAL_TICKS_PER_HOUR = 60.0
+#: Ceiling on committed spans per simulated hour.  Without a process
+#: or a probe nothing executes, so one span carries the whole run
+#: (measured 1); record instants that bounded spans again would read
+#: 3,600.
+SMOKE_SPANS_PER_HOUR = 60.0
 
 
 def _build(fast_forward: bool) -> CinderSystem:
@@ -73,11 +79,12 @@ def test_switching_smoke_floors():
     system = None
     for _ in range(2):
         candidate = _build(True)
+        spans = count_spans(candidate)
         start = time.perf_counter()
         candidate.run(SMOKE_SIM_S)
         wall = time.perf_counter() - start
         if wall < fast_wall:
-            fast_wall, system = wall, candidate
+            fast_wall, system, system_spans = wall, candidate, spans
 
     # Best-of-2 on the tick side too: both walls are sub-second, so
     # a single cold run would let scheduler noise bias the ratio.
@@ -103,6 +110,10 @@ def test_switching_smoke_floors():
     assert per_hour <= SMOKE_NORMAL_TICKS_PER_HOUR, (
         f"switching smoke executed {per_hour:g} normal ticks per "
         f"simulated hour (ceiling {SMOKE_NORMAL_TICKS_PER_HOUR:g})")
+    spans_per_hour = system_spans[0] * 3600.0 / SMOKE_SIM_S
+    assert spans_per_hour <= SMOKE_SPANS_PER_HOUR, (
+        f"switching smoke committed {spans_per_hour:g} spans per "
+        f"simulated hour (ceiling {SMOKE_SPANS_PER_HOUR:g})")
     assert system.graph.span_switches >= 2
     assert system.span_segments > 0
     assert abs(system.graph.conservation_error()) < 1e-9

@@ -149,7 +149,7 @@ def _per_span(cache: dict, spans: np.ndarray, compute, *key):
     """``compute()``, kept in ``cache`` when the stack has one span.
 
     Keyed by that span's value plus ``key``.  A stack of per-device
-    spans (a fleet frontier bucket) is computed afresh: its entries
+    spans (a fleet frontier round) is computed afresh: its entries
     would be ``(d, n)`` arrays.
     """
     if spans.size != 1:
@@ -443,8 +443,7 @@ class LinearSystem:
         in the tier's span cache under ``(t, self)``; the dense path
         has no elementwise-in-``t`` form, so it keeps one augmented
         exponential per span value (:func:`_dense_propagator`) and
-        solves per-span sub-stacks (cohort buckets rarely carry more
-        than a handful of values).
+        solves per-span sub-stacks.
         """
         d, n = lvl.shape
         if self.eig is not None:
@@ -603,26 +602,27 @@ class _SegmentRegime:
             ok &= good | crossed_sat[:, m_i]
         return ok
 
-    def crossing_marks_batch(self, state_hi: np.ndarray,
-                             ltol: np.ndarray
+    def crossing_marks_batch(self, state_hi: np.ndarray
                              ) -> Tuple[np.ndarray, np.ndarray]:
         """Which rows / saturation monitors violate at ``(g, n)`` states.
 
         Marks each row's switch conditions at the state just past its
         located instant; :meth:`certify_batch` excludes the marked
         rows and monitors, because their switch *is* the boundary.
+        Clamp and debt rows are marked on the regime boundary itself,
+        the zero level, which is where the locator bisects to.
         """
         g = state_hi.shape[0]
         crossed = np.zeros(state_hi.shape, dtype=bool)
         if self.clamp_rows.size:
             rows = self.clamp_rows
-            crossed[:, rows] |= state_hi[:, rows] < -ltol[:, None]
+            crossed[:, rows] |= state_hi[:, rows] < 0.0
         if self.cap_rows.size:
             rows = self.cap_rows
             crossed[:, rows] |= state_hi[:, rows] > self.cap_limits
         if self.debt_rows.size:
             rows = self.debt_rows
-            crossed[:, rows] |= state_hi[:, rows] > -ltol[:, None]
+            crossed[:, rows] |= state_hi[:, rows] > 0.0
         sat_ptr, sat_src, sat_wts, sat_c, sat_lo, sat_hi, sat_tol = self.sat
         crossed_sat = np.zeros((g, sat_c.shape[0]), dtype=bool)
         for m_i in range(sat_c.shape[0]):
@@ -635,7 +635,7 @@ class _SegmentRegime:
 
 
 def _debt_boundary(regime: _SegmentRegime, lvls: np.ndarray,
-                   rem: np.ndarray, ltol: np.ndarray
+                   rem: np.ndarray
                    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The certify-first candidate boundary of ``(g, n)`` rows, or None.
 
@@ -644,8 +644,8 @@ def _debt_boundary(regime: _SegmentRegime, lvls: np.ndarray,
     :func:`_locate_switches` never needs to run.  Debt repayments are
     the one monitor the certificate does not cover, but a purely
     constant-fed debt row is linear (``L = L0 + b t``), so its
-    crossing is analytic: a row's candidate is its earliest such
-    crossing (or ``rem``), and the certificate rules out every
+    crossing of zero is analytic: a row's candidate is its earliest
+    such crossing (or ``rem``), and the certificate rules out every
     clamp/cap/saturation switch before it.
 
     Returns ``(candidate, early, crossed)``: ``early`` marks rows whose
@@ -660,7 +660,7 @@ def _debt_boundary(regime: _SegmentRegime, lvls: np.ndarray,
     for row, slope in zip(regime.debt_rows.tolist(),
                           regime.debt_slope.tolist()):
         if slope > 0.0:
-            t_star = (-ltol - lvls[:, row]) / slope
+            t_star = -lvls[:, row] / slope
             np.minimum(cand, t_star, out=cand)
             crossings.append((row, t_star))
     early = cand < rem
@@ -677,11 +677,16 @@ def _locate_switches(regime: _SegmentRegime, lvls: np.ndarray,
     """Earliest instant in each row's ``(0, rem_i]`` a switch fires.
 
     Samples each row's closed-form trajectory on a uniform grid (the
-    scan is :func:`repro.core.segkernel.first_hits`), then bisects each
-    first violating bracket down to ``1e-12·rem_i``.  Trajectories come
-    from the regime's :class:`LinearSystem`: its eigendecomposition
-    when trusted, otherwise one Padé step exponential per row for the
-    grid and one exponential per bisection query.
+    scan is :func:`repro.core.segkernel.first_hits`, whose clamp and
+    debt rows fire past ``-ltol``), then bisects each first violating
+    bracket down to ``1e-12·rem_i`` against the regime boundary
+    itself: clamp and debt rows at the zero level.  Bisecting to
+    ``-ltol`` instead would end every located clamp ``ltol`` below
+    zero, an overdraft the segment loop then books from the root.
+    Trajectories come from the regime's :class:`LinearSystem`: its
+    eigendecomposition when trusted, otherwise one Padé step
+    exponential per row for the grid and one exponential per
+    bisection query.
 
     Returns ``(instant, located, crossed, crossed_sat)`` per row.  A
     located instant is the last *clean* time — integrating to it lands
@@ -721,20 +726,20 @@ def _locate_switches(regime: _SegmentRegime, lvls: np.ndarray,
     hi = ts[hits, f_i]
     floor = np.maximum(1e-12 * rem[hits], 1e-15)
     sub_lvls = lvls[hits]
-    sub_lt = ltol[hits]
+    zero = np.zeros(hits.size)
     for _ in range(64):
         open_ = (hi - lo) > floor
         if not open_.any():
             break
         mid = 0.5 * (lo + hi)
         viol = segkernel.violated_at(at(sub_lvls, mid), *monitors,
-                                     sub_lt, *regime.sat)
+                                     zero, *regime.sat)
         hi = np.where(open_ & viol, mid, hi)
         lo = np.where(open_ & ~viol, mid, lo)
     instant[hits] = lo
     located[hits] = True
     crossed[hits], crossed_sat[hits] = regime.crossing_marks_batch(
-        at(sub_lvls, hi), sub_lt)
+        at(sub_lvls, hi))
     return instant, located, crossed, crossed_sat
 
 
@@ -1095,7 +1100,7 @@ class SpanTier:
             lvls = lvl[None, :]
             rem = np.array([remaining])
             seg = None
-            boundary = _debt_boundary(regime, lvls, rem, ltols)
+            boundary = _debt_boundary(regime, lvls, rem)
             if boundary is not None:
                 t_cand, early, crossed = boundary
                 crossed_sat = np.zeros((1, regime.sat[3].shape[0]),
@@ -1511,9 +1516,9 @@ def execute_span_batch(tiers: List[SpanTier],
     the continuous dynamics ``L' = A·L + b`` are literally the same
     system over different initial conditions.  ``span`` is either one
     shared horizon or a ``(n_devices,)`` vector of **per-device**
-    horizons (the fleet frontier's event-time buckets): devices at
-    different clocks still share one eigendecomposition and one
-    stacked switch-location scan, because every propagation formula is
+    horizons (a fleet frontier round): devices at different clocks
+    still share one eigendecomposition and one stacked
+    switch-location scan, because every propagation formula is
     elementwise in ``t`` — only the dense Padé fallback keys an
     exponential per span value and solves per-span sub-stacks.  A
     vector of equal spans is bit-identical to the scalar call.
@@ -1790,7 +1795,7 @@ def _batch_segmented(tiers: List[SpanTier], span, lam: float,
             located = np.zeros(gr, dtype=bool)
             drop = np.zeros(gr, dtype=bool)
             fast = np.zeros(gr, dtype=bool)
-            boundary = _debt_boundary(regime, lvls, rem, lt)
+            boundary = _debt_boundary(regime, lvls, rem)
             if boundary is not None:
                 t_cand, early, crossed = boundary
                 fast = ((t_cand >= min_seg[rows])

@@ -15,6 +15,7 @@ recover energy by aggregation — so figures compare Cinder's model
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +42,9 @@ class PowerMeter:
         # accumulation within the current sample window
         self._window_energy = 0.0
         self._window_time = 0.0
+        #: How near its end the open window closes, fixed when it
+        #: opens (:meth:`_edge_slack`).
+        self._window_slack = 1e-12
         self._now = 0.0
         # emitted samples (each covers its own window duration; the
         # final flushed sample may cover a partial window)
@@ -136,15 +140,16 @@ class PowerMeter:
         Fleet schedulers call this when a whole commit cohort shares
         the same ``(watts, dt)`` and every meter is *phase-aligned*:
         identical ``sample_interval_s``, ``noise_fraction == 0`` and
-        identical ``(_window_time, _window_energy, _now)``.  Under
-        those guards every meter's :meth:`feed` would emit the same
-        sample block and apply the same totalizer increment sequence
-        — only the starting totalizer differs — so the lead meter runs
-        the ordinary :meth:`feed` once and each follower extends its
-        sample arrays with the shared block and replays the exact
-        increment chain from its own total.  Bit-identical to feeding
-        each meter individually; callers must fall back to that when
-        any guard fails (noise draws consume per-meter rng streams).
+        identical ``(_window_time, _window_energy, _window_slack,
+        _now)``.  Under those guards every meter's :meth:`feed` would
+        emit the same sample block and apply the same totalizer
+        increment sequence — only the starting totalizer differs — so
+        the lead meter runs the ordinary :meth:`feed` once and each
+        follower extends its sample arrays with the shared block and
+        replays the exact increment chain from its own total.
+        Bit-identical to feeding each meter individually; callers must
+        fall back to that when any guard fails (noise draws consume
+        per-meter rng streams).
         """
         mark = len(self._sample_times)
         interval = self.sample_interval_s
@@ -171,6 +176,7 @@ class PowerMeter:
             incs.append(watts * remaining)
         window_time = self._window_time
         window_energy = self._window_energy
+        window_slack = self._window_slack
         now = self._now
         for meter in followers:
             meter._sample_times.extend(times)
@@ -182,10 +188,32 @@ class PowerMeter:
             meter.total_energy_joules = total
             meter._window_time = window_time
             meter._window_energy = window_energy
+            meter._window_slack = window_slack
             meter._now = now
 
+    def _edge_slack(self) -> float:
+        """How far float drift may move a window edge.
+
+        A span fed in one call walks its windows by repeated
+        ``remaining -= interval``, and each subtraction rounds by up
+        to half an ulp of the span, so after ``span / interval``
+        windows the last edge is off by less than
+        ``span / interval · ulp(span)`` (it was 3.7e-8 s at
+        36,000 s).  The meter's clock bounds the span.
+        """
+        now = self._now
+        return max(1e-12, now / self.sample_interval_s * math.ulp(now))
+
     def _feed_one(self, watts: float, remaining: float) -> float:
-        """One reference iteration; returns the remaining time."""
+        """One reference iteration; returns the remaining time.
+
+        A window closes within :meth:`_edge_slack` (taken when it
+        opens) of its end, so one long feed emits the windows that
+        tick-sized feeds of the same span emit even when drift leaves
+        its last window short.
+        """
+        if self._window_time == 0.0:
+            self._window_slack = self._edge_slack()
         room = self.sample_interval_s - self._window_time
         step = min(remaining, room)
         self._window_energy += watts * step
@@ -193,7 +221,7 @@ class PowerMeter:
         self.total_energy_joules += watts * step
         self._now += step
         remaining -= step
-        if self._window_time >= self.sample_interval_s - 1e-12:
+        if self._window_time >= self.sample_interval_s - self._window_slack:
             self._emit()
         return remaining
 
@@ -241,10 +269,12 @@ class PowerMeter:
     def flush(self) -> None:
         """Emit a final partial sample (end of experiment).
 
-        Sub-nanosecond residue from float accumulation is discarded
-        rather than emitted as a bogus duplicate sample.
+        Residue from float accumulation — sub-nanosecond, or the
+        drift a long feed can leave past a window edge
+        (:meth:`_edge_slack`) — is discarded rather than emitted as a
+        bogus duplicate sample.
         """
-        if self._window_time > 1e-9:
+        if self._window_time > max(1e-9, self._window_slack):
             self._emit()
         else:
             self._window_energy = 0.0

@@ -26,17 +26,18 @@ capture time; :func:`restore` refuses (:class:`~repro.errors.
 CheckpointError`) any restoration whose digest disagrees, so a
 corrupted checkpoint degrades loudly instead of diverging quietly.
 
-Digests hash the bit-exact float state (``float.hex``) of every
-device — clock, counters, netd pool, battery, meter, reserve levels —
-so "bit-identical" is literal, not approximate.
+Digests hash the bit-exact state of every device — clock, counters,
+netd pool, battery, meter, reserve levels — as packed machine integers
+and doubles, so "bit-identical" is literal, not approximate.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import CheckpointError
 from .world import World
@@ -46,23 +47,28 @@ METHOD_PICKLE = "pickle"
 METHOD_REPLAY = "replay"
 
 
-def _device_state_lines(runtime, name: str) -> List[str]:
-    """The bit-exact state of one device, as stable hashable lines."""
-    return [
-        name,
-        str(runtime.clock.ticks),
-        runtime.clock.now.hex(),
-        str(runtime.fast_forwarded_ticks),
-        str(runtime.span_refusals),
-        str(runtime.radio.activation_count),
-        str(runtime.netd.stats.operations),
-        runtime.netd.stats.total_wait_seconds.hex(),
-        runtime.netd.pool.level.hex(),
-        runtime.battery.charge_joules.hex(),
-        runtime.meter.total_energy_joules.hex(),
-        str(runtime.meter.sample_count),
-        ",".join(r.level.hex() for r in runtime.graph.reserves),
-    ]
+def _device_state(runtime) -> Tuple[array, array]:
+    """The bit-exact state of one device: its counts and its floats,
+    packed (hashing the raw bytes costs less than formatting them)."""
+    reserves = runtime.graph.reserves
+    counts = array("q", (
+        runtime.clock.ticks,
+        runtime.fast_forwarded_ticks,
+        runtime.span_refusals,
+        runtime.radio.activation_count,
+        runtime.netd.stats.operations,
+        runtime.meter.sample_count,
+        len(reserves),
+    ))
+    floats = array("d", (
+        runtime.clock.now,
+        runtime.netd.stats.total_wait_seconds,
+        runtime.netd.pool.level,
+        runtime.battery.charge_joules,
+        runtime.meter.total_energy_joules,
+    ))
+    floats.extend([r.level for r in reserves])
+    return counts, floats
 
 
 def world_digest(world: World) -> str:
@@ -77,11 +83,20 @@ def world_digest(world: World) -> str:
     """
     digest = hashlib.sha256()
     for name, runtime in world._by_name.items():
-        for line in _device_state_lines(runtime, name):
-            digest.update(line.encode())
-            digest.update(b"\x1f")
+        counts, floats = _device_state(runtime)
+        digest.update(name.encode())
+        digest.update(b"\x1f")
+        digest.update(counts)
+        digest.update(floats)
         digest.update(b"\x1e")
     return digest.hexdigest()
+
+
+def _live_programs(world: World) -> bool:
+    """Whether any device still runs a program (a live generator,
+    which never pickles)."""
+    return any(not process.finished
+               for device in world.devices for process in device.processes)
 
 
 @dataclass
@@ -156,12 +171,13 @@ def capture(world: World, barrier: int,
 
     ``try_pickle=False`` skips the (one-time, possibly partial) pickle
     attempt — shard slots remember that a world with live programs
-    refused once and do not re-pay the attempt every barrier.
+    refused once and do not re-pay the attempt every barrier.  A world
+    running a program skips it too: its generator cannot pickle.
     """
     digest = world_digest(world)
     payload = None
     method = METHOD_REPLAY
-    if try_pickle:
+    if try_pickle and not _live_programs(world):
         try:
             payload = snapshot_world(world)
             method = METHOD_PICKLE

@@ -366,12 +366,52 @@ class DeviceRuntime:
         """Whether the trace owes a record at ``now``."""
         return now - self._last_record >= self.record_interval_s - 1e-12
 
+    def _next_record(self, now: float) -> float:
+        """The next record instant after any record due at ``now``."""
+        if self._record_due(now):
+            return now + self.record_interval_s
+        return self._last_record + self.record_interval_s
+
     def _record(self, now: float, power: float, radio_watts: float) -> None:
         """Write the trace record at ``now``: power, radio, probes."""
         self.trace.record("power.system", now, power)
         self.trace.record("power.radio", now, radio_watts)
         self.trace.sample_probes(now)
         self._last_record = now
+
+    def _record_span(self, ticks: int, power: float,
+                     radio_watts: float) -> None:
+        """Write the records due strictly inside the span of ``ticks``
+        ticks from now, at the span's constant power.
+
+        The instants are the tick instants :meth:`_record_due` picks
+        tick by tick; each series is extended once.  Only a trace
+        without probes gets here: its record instants do not bound
+        spans.
+        """
+        clock = self.clock
+        tick_s = clock.tick_s
+        stop = clock.ticks + ticks
+        due = self.record_interval_s - 1e-12
+        last = self._last_record
+        k = clock.ticks + 1
+        times: List[float] = []
+        while True:
+            if last > -math.inf:
+                # One tick short of the next due instant, then the
+                # exact test to the first due tick.
+                k = max(k, math.ceil((last + due) / tick_s) - 1)
+                while k * tick_s - last < due:
+                    k += 1
+            if k >= stop:
+                break
+            last = k * tick_s
+            times.append(last)
+            k += 1
+        if times:
+            self.trace.series("power.system").extend(times, power)
+            self.trace.series("power.radio").extend(times, radio_watts)
+            self._last_record = last
 
     def run(self, duration_s: float) -> None:
         """Step until ``duration_s`` of simulated time has elapsed.
@@ -396,19 +436,21 @@ class DeviceRuntime:
         """Step until ``predicate()`` or ``max_s``; returns elapsed time.
 
         Shares :meth:`run`'s macro-step loop: the predicate is checked
-        after every normal step and at every event horizon.  Trace
-        record instants still bound spans to one record interval —
-        a span lands there, and the record is written by the tick or
-        span that follows — so a predicate is never starved longer
-        than that.
+        after every normal step and at every event horizon.  Each
+        poll's deadline is capped at the next trace-record instant, so
+        a predicate is never starved longer than one record interval
+        (the record itself is written by the tick or span that
+        follows).
         """
         start = self.clock.now
         deadline = start + max_s
         while not predicate():
-            if self.clock.now - start >= max_s:
+            now = self.clock.now
+            if now - start >= max_s:
                 raise SimulationError(
                     f"run_until exceeded {max_s} simulated seconds")
-            ticks = self._ff_horizon_ticks(deadline)
+            ticks = self._ff_horizon_ticks(
+                min(deadline, self._next_record(now)))
             if ticks and self._ff_advance(ticks):
                 continue
             self.step()
@@ -440,16 +482,19 @@ class DeviceRuntime:
         firm — it has to be re-examined after the very next step
         anyway.
 
-        A due trace record does not force a tick: the trace bounds the
-        span at the *next* record instant, and the record due now is
+        A due trace record does not force a tick.  Without probes,
+        record instants bound nothing: a committed span writes the
+        records due inside it (:meth:`_ff_commit_begin`).  With
+        probes, the trace bounds the span at the *next* record instant
+        (a non-executing horizon).  Either way the record due now is
         written when the span opens (:meth:`_ff_begin`) or by the tick
-        taken instead.  Record instants are non-executing horizons.
+        taken instead.
 
         The poll itself never mutates device state, so a scheduler
-        that polls once and acts later (the fleet frontier files the
-        answer under its landing instant) sees exactly what an
-        act-immediately loop like :meth:`run` would — provided the
-        device is untouched in between.
+        that polls once and acts later (the fleet frontier polls a
+        whole round before it solves the round's spans) sees exactly
+        what an act-immediately loop like :meth:`run` would —
+        provided the device is untouched in between.
         """
         if not self.fast_forward:
             return 0, True, True
@@ -575,13 +620,20 @@ class DeviceRuntime:
         """First half of :meth:`_ff_commit`: replay the event sources
         across the span and return the span's constant system power
         (computed after the replay, exactly where the fused commit
-        computed it)."""
+        computed it).
+
+        Without trace probes, the records due inside the span are
+        written here, at that power (:meth:`_record_span`).
+        """
         clock = self.clock
         now = clock.now
         span = ticks * clock.tick_s
         self._span_refusing = False
         self.horizon.advance_span(now, span)
-        return self._system_power(now, False)[0]
+        power, radio_watts = self._system_power(now, False)
+        if not self.trace.has_probes:
+            self._record_span(ticks, power, radio_watts)
+        return power
 
     def _ff_commit_finish(self, ticks: int, power: float) -> None:
         """Second half of :meth:`_ff_commit`: the caller has fed the
@@ -718,7 +770,11 @@ class DeviceRuntime:
     # -- reporting -------------------------------------------------------------------------------
 
     def watch_reserve(self, reserve: Reserve, name: str = "") -> None:
-        """Record ``reserve``'s level on every trace interval."""
+        """Record ``reserve``'s level on every trace interval.
+
+        A probe reads the live level, so while one is registered the
+        record instants bound this device's spans.
+        """
         label = name or f"reserve.{reserve.name}"
         self.trace.add_probe(label, lambda: reserve.level)
 

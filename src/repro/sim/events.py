@@ -227,12 +227,18 @@ class SleeperHeapSource(EventSource):
 
 
 class TraceCadenceSource(EventSource):
-    """The next trace-record instant: bounds every span to one interval.
+    """The next trace-record instant, while a probe needs live levels.
 
-    A record instant is a non-executing horizon: landing there needs
-    no tick.  A record due at ``now`` is written by the tick taken at
-    ``now``, if any — post-tick levels with the tick's power — or else
-    when the span from ``now`` opens
+    With no probe registered, records are span outputs and bound
+    nothing: a span writes the records due at the tick instants inside
+    it when it commits
+    (:meth:`~repro.sim.engine.DeviceRuntime._ff_commit_begin`), so the
+    answer is ``None``.
+
+    With probes, a record instant is a non-executing horizon: landing
+    there needs no tick.  A record due at ``now`` is written by the
+    tick taken at ``now``, if any — post-tick levels with the tick's
+    power — or else when the span from ``now`` opens
     (:meth:`~repro.sim.engine.DeviceRuntime._ff_begin`) — the levels
     at ``now`` with the span's power.  So while a record is due the
     answer is the record after it: the due record alone never forces
@@ -247,9 +253,9 @@ class TraceCadenceSource(EventSource):
 
     def next_event(self, now: float) -> Optional[float]:
         runtime = self._runtime
-        if runtime._record_due(now):
-            return now + runtime.record_interval_s
-        return runtime._last_record + runtime.record_interval_s
+        if not runtime.trace.has_probes:
+            return None
+        return runtime._next_record(now)
 
 
 class RadioSource(EventSource):

@@ -33,6 +33,17 @@ class TimeSeries:
         self._times.append(time)
         self._values.append(value)
 
+    def extend(self, times: List[float], value: float) -> None:
+        """Append ``value`` at each of ``times`` (non-decreasing) at once."""
+        if not times:
+            return
+        if self._times and times[0] < self._times[-1] - 1e-12:
+            raise SimulationError(
+                f"series {self.name!r}: time went backward "
+                f"({times[0]} < {self._times[-1]})")
+        self._times.extend(times)
+        self._values.extend([value] * len(times))
+
     # -- access -------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -155,6 +166,12 @@ class TraceRecorder:
         ``recorder.add_probe('netd.pool', lambda: pool.level)``.
         """
         self._probes.append((name, fn))
+
+    @property
+    def has_probes(self) -> bool:
+        """True once a probe is registered: sampling it needs live
+        levels at each record instant."""
+        return bool(self._probes)
 
     def sample_probes(self, time: float) -> None:
         """Sample every registered probe at ``time``."""

@@ -15,10 +15,9 @@ A :class:`World` runs N devices on a shared time grid:
   and the fleet re-synchronizes at every barrier;
 * one run loop, the **event-time frontier**
   (:meth:`World._run_independent`), executes that decomposition for
-  the whole fleet at once: devices are filed by the instant their
-  next action lands, and each round advances the earliest bucket of
-  coinciding landings together, their graph work stacked per cohort
-  — devices whose compiled :class:`~repro.core.flowplan.FlowPlan`
+  the whole fleet at once: each round, every device still short of
+  the barrier takes its next action, their graph work stacked per
+  cohort — devices whose compiled :class:`~repro.core.flowplan.FlowPlan`
   signatures match (same live topology, same frozen-tap set, same
   decay constant): one stacked span solve
   (:func:`repro.core.spansolver.execute_span_batch`), which reuses a
@@ -44,7 +43,6 @@ barriers — lives in :mod:`repro.sim.shards` on top of this class.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -78,9 +76,9 @@ class World:
         #: committed device span and one per device step.
         self.macro_steps = 0
         self.tick_steps = 0
-        #: Telemetry: frontier rounds.  Each pop-the-frontier-bucket-
-        #: and-advance iteration is one, so refusals and staggered
-        #: horizons show up as extra rounds.
+        #: Telemetry: frontier rounds.  Each round advances every
+        #: device short of the barrier by one action, so the count is
+        #: the most actions any device took between barriers.
         self.barrier_rounds = 0
         #: Telemetry: device-spans solved through a stacked cohort call
         #: vs scalar (a singleton group, or a stacked drop-out whose
@@ -271,7 +269,7 @@ class World:
         The tick grid enters the cohort key:
         :func:`~repro.core.flowplan.execute_tick_batch` takes one
         shared ``dt``, and devices on different grids can share a
-        frontier bucket.
+        frontier round.
         """
         devices = self.devices
         if len(indices) < 2:
@@ -335,7 +333,8 @@ class World:
             meter = device.meter
             key = (power, pending[i] * device.clock.tick_s,
                    meter.sample_interval_s, meter.noise_fraction,
-                   meter._window_time, meter._window_energy, meter._now)
+                   meter._window_time, meter._window_energy,
+                   meter._window_slack, meter._now)
             feed_groups.setdefault(key, []).append(i)
         for key, group in feed_groups.items():
             power, span, _, noise = key[:4]
@@ -356,50 +355,39 @@ class World:
         The event-time frontier, and the world's only run loop.  Each
         device's next action is decided by its *own* horizon poll —
         exactly the poll ``device.run(chunk)`` would make — and the
-        fleet files each device under its landing instant, with a
-        min-heap over the distinct instants:
+        fleet advances in **rounds**: every device that has not yet
+        reached its deadline takes exactly one action per round.  One
+        round works in four steps:
 
         * **poll** — one :meth:`~repro.sim.engine.CinderSystem._ff_poll`
-          per device per action, against that device's own deadline
+          per active device, against that device's own deadline
           (``its clock.now + chunk``, bit-identical to ``device.run``).
-          A macro answer (``ticks >= 2``) lands the device at
-          ``(clock.ticks + ticks) * tick_s``; a must-tick answer lands
-          it one tick ahead.  The pending tick count is cached with
-          the filed entry — the device is untouched between push and
-          pop (devices share no mutable state between barriers), so
-          the cached answer is exactly what a fresh poll would return;
-        * **bucket** — each round pops the bucket of the minimum
-          landing key, in device order.  Keys are quantized to integer
-          nanoseconds (``round(landing * 1e9)``) so mixed tick grids
-          whose landing instants agree physically but differ in float
-          representation still share a bucket.  Quantization only
-          affects *grouping*:
-          the spans advanced come from each device's own tick count
-          and tick size, never from the key;
-        * **advance** — macro members are grouped by
+          A macro answer (``ticks >= 2``) is a span of that many
+          ticks; anything else is one tick;
+        * **stack** — macro members are grouped by
           ``(cohort_token, lam)`` and solved in one stacked
           :func:`~repro.core.spansolver.execute_span_batch` call with
           a **per-device span vector** (devices at different clocks
           share one eigendecomposition and one switch-location scan).
           Singleton groups solve scalar.  A stacked drop-out retries
-          scalar (:attr:`cohort_fallbacks` / :attr:`cohort_demotions`).
-          A refusal — frozen-tap arbitration or a genuinely
-          unsupported regime — takes **one** normal step and re-polls,
-          mirroring ``device.run``'s refusal fallthrough.  Must-tick
-          members batch through :meth:`_fleet_tick`;
-        * **re-poll** — after its action each device is filed again
-          unless it has landed on the barrier
-          (``now >= deadline - 1e-12``).  A device whose macro answer
-          was firm *and* executing lands on an instant where a fresh
-          poll provably answers "tick now"; that re-poll is skipped
-          (the poll is read-only, so skipping a determined answer is
-          invisible to the device) and counted in
-          :attr:`horizon_cache_hits`.
+          scalar (:attr:`cohort_fallbacks` / :attr:`cohort_demotions`);
+        * **tick** — must-tick members batch through
+          :meth:`_fleet_tick`;
+        * **refuse** — a refused span (frozen-tap arbitration or a
+          genuinely unsupported regime) takes **one** normal step,
+          mirroring ``device.run``'s refusal fallthrough.
 
-        Every device therefore executes the *same sequence* of polls,
-        macro-commits and steps as the per-device loop — the frontier
-        is a pure reordering across devices — which the parity suite
-        pins bit-identically.
+        A device whose macro answer was firm *and* executing lands on
+        an instant where a fresh poll provably answers "tick now";
+        its next round's poll is skipped (the poll is read-only, so
+        skipping a determined answer is invisible to the device) and
+        counted in :attr:`horizon_cache_hits`.
+
+        Devices share no mutable state between barriers, so every
+        device executes the *same sequence* of polls, macro-commits
+        and steps as the per-device loop — grouping by round is a pure
+        reordering across devices — which the parity suite pins
+        bit-identically.
         """
         devices = self.devices
         n = len(devices)
@@ -409,50 +397,29 @@ class World:
         pending = [0] * n
         must_step = [False] * n
         skip_poll = [False] * n
-        buckets: Dict[int, List[int]] = {}
-        keys: List[int] = []
         polls = skips = 0
-        filing = range(n)
-        while True:
-            # File every device that just acted (at first: all) under
-            # the landing instant of its next action.
-            for i in filing:
-                clock = clocks[i]
-                if clock.now >= landed[i]:
-                    continue
-                if skip_poll[i]:
-                    skip_poll[i] = False
-                    ticks = 0
-                    skips += 1
-                else:
-                    polls += 1
-                    ticks, firm, executes = devices[i]._ff_poll(
-                        deadlines[i])
-                    must_step[i] = ticks >= 2 and firm and executes
-                pending[i] = ticks
-                key = round((clock.ticks + (ticks if ticks >= 2 else 1))
-                            * clock.tick_s * 1e9)
-                members = buckets.get(key)
-                if members is None:
-                    buckets[key] = [i]
-                    heapq.heappush(keys, key)
-                else:
-                    members.append(i)
-            if not keys:
-                break
-            bucket = buckets.pop(heapq.heappop(keys))
-            bucket.sort()
+        active = [i for i in range(n) if clocks[i].now < landed[i]]
+        while active:
             self.barrier_rounds += 1
             refused: List[int] = []
             steppers: List[int] = []
             groups: Dict[Tuple[int, float],
                          List[Tuple[int, object]]] = {}
             singles: List[Tuple[int, object]] = []
-            for i in bucket:
-                if pending[i] < 2:
+            for i in active:
+                if skip_poll[i]:
+                    skip_poll[i] = False
+                    skips += 1
                     steppers.append(i)
                     continue
+                polls += 1
                 device = devices[i]
+                ticks, firm, executes = device._ff_poll(deadlines[i])
+                if ticks < 2:
+                    steppers.append(i)
+                    continue
+                pending[i] = ticks
+                must_step[i] = firm and executes
                 frozen = device._ff_begin()
                 if frozen is None:
                     refused.append(i)
@@ -512,7 +479,7 @@ class World:
             for i in refused:
                 devices[i].step()
             self.tick_steps += len(steppers) + len(refused)
-            filing = bucket
+            active = [i for i in active if clocks[i].now < landed[i]]
         self.horizon_polls += polls
         self.horizon_cache_hits += skips
 
@@ -528,8 +495,8 @@ class World:
         (:meth:`_run_independent`).  One device's events never force a
         fleet-wide iteration, which is the difference between
         O(N · fleet-events) and O(N + own-events) at 1000 devices of
-        staggered pollers, and devices whose landing instants coincide
-        still solve their spans in one stacked cohort call.
+        staggered pollers, and devices taking spans in the same round
+        solve them in one stacked cohort call, whatever their clocks.
 
         Devices must *land* exactly on each barrier, so the duration
         and ``barrier_s`` must both be whole multiples of the fleet's
@@ -575,7 +542,9 @@ class World:
         the next fleet event — the minimum of every device's horizon,
         at least one tick — and then checks the predicate, so it is
         checked after every normal tick and at every event horizon
-        anywhere in the fleet.  Requires a uniform tick grid
+        anywhere in the fleet.  Each device's poll is capped at its
+        next trace-record instant, so the predicate is never starved
+        longer than one record interval.  Requires a uniform tick grid
         (mixed-grid fleets only synchronize at barriers, which would
         starve the predicate).
         """
@@ -591,8 +560,10 @@ class World:
             if self.now - start >= max_s:
                 raise SimulationError(
                     f"run_until exceeded {max_s} simulated seconds")
-            ticks = max(1, min(d._ff_horizon_ticks(deadline)
-                               for d in self.devices))
+            ticks = max(1, min(
+                d._ff_horizon_ticks(min(deadline,
+                                        d._next_record(d.clock.now)))
+                for d in self.devices))
             # The chunk ends on the landing tick's own instant, so
             # every device's deadline is that instant (exactly, barring
             # the last ulp) and nobody overshoots it.

@@ -593,7 +593,11 @@ class TestEarlyExit:
 
 
 def switching_device(world=None, index=0, seed=1):
-    """Chains, a clamping task and a debtor per app, a minute napper."""
+    """Chains, a clamping task and a debtor per app, a minute napper.
+
+    The battery is watched, so the 1 s record instants bound its spans
+    (a trace without probes would let spans run from event to event).
+    """
     kwargs = dict(record_interval_s=1.0)
     if world is None:
         device = CinderSystem(battery_joules=15_000.0, seed=seed, **kwargs)
@@ -601,6 +605,7 @@ def switching_device(world=None, index=0, seed=1):
         device = world.add_device(name=f"d{index}", **kwargs)
     kernel = device.kernel
     root = device.battery_reserve
+    device.watch_reserve(root)
     rng = np.random.default_rng(seed + 31 * index)
     for i in range(3):
         app = device.powered_reserve(0.06, name=f"d{index}.app{i}")

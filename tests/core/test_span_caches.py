@@ -196,13 +196,18 @@ def cert_graph():
 
 
 def switching_system(world=None, index=0):
-    """A device whose tasks clamp and whose napper cuts odd spans."""
+    """A device whose tasks clamp and whose napper cuts odd spans.
+
+    The battery is watched, so the 1 s record instants bound its spans
+    too (a trace without probes would not cut them).
+    """
     kwargs = dict(record_interval_s=1.0, decay_enabled=False)
     if world is None:
         device = CinderSystem(**kwargs)
     else:
         device = world.add_device(name=f"d{index}", **kwargs)
     battery = device.battery_reserve
+    device.watch_reserve(battery)
     task = device.new_reserve(name=f"d{index}.task")
     battery.transfer_to(task, 0.5)
     device.kernel.create_tap(battery, task, 0.02, name=f"d{index}.feed")

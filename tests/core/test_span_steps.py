@@ -87,17 +87,19 @@ def scalar_violated(regime, state, ltol):
         *regime.sat)[0])
 
 
-def scalar_crossing_marks(regime, state_hi, ltol):
+def scalar_crossing_marks(regime, state_hi):
+    """Crossing marks on the regime boundary: clamp and debt rows at
+    zero."""
     crossed = np.zeros(state_hi.shape[0], dtype=bool)
     if regime.clamp_rows.size:
         rows = regime.clamp_rows
-        crossed[rows[state_hi[rows] < -ltol]] = True
+        crossed[rows[state_hi[rows] < 0.0]] = True
     if regime.cap_rows.size:
         rows = regime.cap_rows
         crossed[rows[state_hi[rows] > regime.cap_limits]] = True
     if regime.debt_rows.size:
         rows = regime.debt_rows
-        crossed[rows[state_hi[rows] > -ltol]] = True
+        crossed[rows[state_hi[rows] > 0.0]] = True
     sat_ptr, sat_src, sat_wts, sat_c, sat_lo, sat_hi, sat_tol = regime.sat
     crossed_sat = np.zeros(sat_c.shape[0], dtype=bool)
     for m_i in range(sat_c.shape[0]):
@@ -112,7 +114,8 @@ def scalar_crossing_marks(regime, state_hi, ltol):
 
 def scalar_first_switch(regime, lvl, span, ltol):
     """``(instant, crossed, crossed_sat)`` of the earliest switch, or
-    None when no sampled condition fires."""
+    None when no sampled condition fires.  The scan fires past
+    ``-ltol``; the bisection and the marks use the zero level."""
     if not regime.has_monitors:
         return None
     ts = np.linspace(span / EVENT_SAMPLES, span, EVENT_SAMPLES)
@@ -130,25 +133,25 @@ def scalar_first_switch(regime, lvl, span, ltol):
             break
         mid = 0.5 * (lo + hi)
         if scalar_violated(regime, scalar_state_at(regime.system, lvl, mid),
-                           ltol):
+                           0.0):
             hi = mid
         else:
             lo = mid
     crossed, crossed_sat = scalar_crossing_marks(
-        regime, scalar_state_at(regime.system, lvl, hi), ltol)
+        regime, scalar_state_at(regime.system, lvl, hi))
     return lo, crossed, crossed_sat
 
 
-def scalar_debt_boundary(regime, lvl, remaining, ltol):
+def scalar_debt_boundary(regime, lvl, remaining):
     """``(candidate, early, crossed)``, or None when a debt row takes
-    proportional inflow."""
+    proportional inflow.  A row's candidate is its zero crossing."""
     if regime.debt_rows.size and not bool(regime.debt_linear.all()):
         return None
     t_cand = remaining
     for r_i in range(regime.debt_rows.shape[0]):
         slope = float(regime.debt_slope[r_i])
         if slope > 0.0:
-            t_star = (-ltol - lvl[int(regime.debt_rows[r_i])]) / slope
+            t_star = -lvl[int(regime.debt_rows[r_i])] / slope
             if t_star < t_cand:
                 t_cand = t_star
     crossed = np.zeros(lvl.size, dtype=bool)
@@ -158,7 +161,7 @@ def scalar_debt_boundary(regime, lvl, remaining, ltol):
             if slope <= 0.0:
                 continue
             row = int(regime.debt_rows[r_i])
-            if (-ltol - lvl[row]) / slope <= t_cand * (1.0 + 1e-12):
+            if -lvl[row] / slope <= t_cand * (1.0 + 1e-12):
                 crossed[row] = True
     return t_cand, t_cand < remaining, crossed
 
@@ -354,7 +357,7 @@ def scalar_segmented(tier, span, lam, lvl):
             return None
         no_sat = np.zeros(regime.sat[3].shape[0], dtype=bool)
         seg = None
-        boundary = scalar_debt_boundary(regime, lvl, remaining, ltol)
+        boundary = scalar_debt_boundary(regime, lvl, remaining)
         if boundary is not None:
             t_cand, early, crossed = boundary
             if t_cand >= min_seg and certify(regime, t_cand, crossed, no_sat):
@@ -503,17 +506,16 @@ class TestDebtBoundary:
     def test_rows_equal_the_scalar_candidate(self):
         rng = np.random.default_rng(5)
         seen_early = seen_debt = 0
-        for regime, lvl, ltol in regimes_and_states(11, 30):
+        for regime, lvl, _ in regimes_and_states(11, 30):
             rem = float(rng.choice([0.5, 5.0, 60.0, 600.0]))
             # a repayment rate near the float minimum never repays: both
             # sides overflow its crossing time to inf
             with np.errstate(over="ignore"):
-                want = scalar_debt_boundary(regime, lvl, rem, ltol)
+                want = scalar_debt_boundary(regime, lvl, rem)
                 # the same row inside a stack of three must not change
                 stack = np.stack([lvl, lvl * 0.5, lvl])
                 got = spansolver._debt_boundary(
-                    regime, stack, np.array([rem, rem * 2.0, rem]),
-                    np.full(3, ltol))
+                    regime, stack, np.array([rem, rem * 2.0, rem]))
             if want is None:
                 assert got is None
                 continue
@@ -532,7 +534,7 @@ class TestDebtBoundary:
         relative slack beyond it) marks nothing — the candidate is the
         span end itself — even when another row of the stack crosses
         early."""
-        for regime, lvl, ltol in regimes_and_states(11, 30):
+        for regime, lvl, _ in regimes_and_states(11, 30):
             slopes = [(int(r), float(s)) for r, s in
                       zip(regime.debt_rows, regime.debt_slope) if s > 0]
             if not slopes or not regime.debt_linear.all():
@@ -540,13 +542,12 @@ class TestDebtBoundary:
             row, slope = slopes[0]
             sooner = lvl.copy()
             sooner[row] *= 0.5  # half the debt: repaid well before rem
-            t_star = (-ltol - lvl[row]) / slope
+            t_star = -lvl[row] / slope
             for rem in (t_star, t_star * (1.0 - 1e-13)):
                 cand, early, crossed = spansolver._debt_boundary(
-                    regime, np.stack([lvl, sooner]), np.array([rem, rem]),
-                    np.full(2, ltol))
+                    regime, np.stack([lvl, sooner]), np.array([rem, rem]))
                 for i, levels in enumerate((lvl, sooner)):
-                    want = scalar_debt_boundary(regime, levels, rem, ltol)
+                    want = scalar_debt_boundary(regime, levels, rem)
                     assert cand[i:i + 1].tobytes() == np.array(
                         [want[0]]).tobytes()
                     assert bool(early[i]) == want[1]

@@ -103,6 +103,40 @@ class TestMeter:
             PowerMeter().feed(-1.0, 1.0)
 
 
+TICK_S = 0.01
+
+
+class TestWindowsDoNotDependOnSplitting:
+    """One long feed emits exactly the windows that tick-sized feeds of
+    the same span emit, however long the span: the float drift of
+    walking a long span window by window moves no window edge."""
+
+    def test_tick_feeds_close_every_twentieth_tick(self):
+        meter = PowerMeter()
+        for k in range(1, 4001):
+            meter.feed(1.5, TICK_S)
+            assert meter.sample_count == k // 20
+
+    @pytest.mark.parametrize("seconds", [60.0, 600.0, 1800.0, 3600.0,
+                                         18_000.0, 36_000.0, 86_400.0])
+    @pytest.mark.parametrize("extra", [0, 1, 19])
+    def test_one_feed_emits_the_windows_of_tick_feeds(self, seconds,
+                                                      extra):
+        ticks = round(seconds / TICK_S) + extra
+        meter = PowerMeter()
+        meter.feed(1.5, ticks * TICK_S)
+        assert meter.sample_count == ticks // 20
+        # The open window closes on the tick where tick feeds close it.
+        for _ in range(-ticks % 20):
+            assert meter.sample_count == ticks // 20
+            meter.feed(1.5, TICK_S)
+        closed = -(-ticks // 20)
+        assert meter.sample_count == closed
+        # No drift crumb is left to flush as a sample of its own.
+        meter.flush()
+        assert meter.sample_count == closed
+
+
 class TestFeedCohort:
     """The cohort-batched feed must be float-identical to feeding
     each meter alone — the independent scheduler's commit relies on

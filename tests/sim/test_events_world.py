@@ -15,9 +15,10 @@ Four contracts are pinned here:
   ``EventSource`` bounds spans at its declared events.
 * **When a sample is taken** — a record due at a tick is written by
   that tick; one due where no tick happens is written when the next
-  span opens, with the span's power.  The ``power.*`` streams equal
-  ticking's, however the run is split, and the record cadence neither
-  forces ticks nor moves the final levels.
+  span opens, with the span's power, or, without probes, by the span
+  it falls inside.  The ``power.*`` streams equal ticking's, however
+  the run is split; without probes the record cadence cannot move the
+  final state, and a probe still sees the live state at each record.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import pytest
 
 from repro.core.tap import TapType
 from repro.energy.meter import PowerMeter
+from repro.sim import checkpoint
 from repro.sim.engine import CinderSystem
 from repro.sim.events import EventSource, PeriodicSource
 from repro.sim.process import CpuBurn, NetRequest, Sleep
@@ -430,6 +432,73 @@ class TestWhenSamplesAreTaken:
             levels[interval] = [r.level for r in system.graph.reserves]
         worst = max(abs(a - b) for a, b in zip(levels[1.0], levels[60.0]))
         assert worst <= 1e-7
+
+
+class TestObservationIsFree:
+    """Without probes, records are span outputs: the record cadence
+    bounds no span, so it cannot move the final state.  A probe is an
+    opaque callable that needs the live state at each record instant,
+    so with one registered, record instants still bound spans."""
+
+    def test_final_state_is_bit_identical_across_cadences(self):
+        digests = {}
+        for interval in (1.0, 5.0, 60.0, 3600.0):
+            world = World(tick_s=0.01)
+            world.adopt(switching_device(interval), name="device")
+            world.run(3600.0, barrier_s=60.0)
+            assert world.conservation_error() < 1e-6
+            digests[interval] = checkpoint.world_digest(world)
+        assert len(set(digests.values())) == 1, digests
+
+    @pytest.mark.parametrize("interval", [0.005, 0.37, 1.0, 7.0])
+    def test_span_records_fall_where_ticks_record(self, interval):
+        """A committed span writes a record at exactly the tick
+        instants the per-tick due test picks, at any clock."""
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            system, oracle = (make_system(record_interval_s=interval)
+                              for _ in range(2))
+            start = int(rng.integers(0, 10 ** 9))
+            last = (start - int(rng.integers(0, 1000))) * 0.01
+            for device in (system, oracle):
+                device.clock.advance_many(start)
+                device._last_record = last
+            ticks = int(rng.integers(2, 5000))
+            want = []
+            for k in range(start + 1, start + ticks):
+                if oracle._record_due(k * 0.01):
+                    oracle._last_record = k * 0.01
+                    want.append(k * 0.01)
+            system._record_span(ticks, 1.5, 0.25)
+            series = system.trace.series("power.system")
+            assert series.times.tolist() == want
+            assert set(series.values.tolist()) <= {1.5}
+            assert system._last_record == oracle._last_record
+
+    def test_a_probe_samples_live_levels_at_each_record(self):
+        runs = {}
+        for fast_forward in (True, False):
+            system = switching_device(1.0)
+            system.fast_forward = fast_forward
+            task = next(r for r in system.graph.reserves
+                        if r.name == "task0")
+            system.watch_reserve(task)
+            system.trace.add_probe("clock", partial(getattr, system.clock,
+                                                    "now"))
+            system.run(240.0)
+            runs[fast_forward] = system
+        fast, slow = runs[True], runs[False]
+        assert fast.clock.ticks - fast.fast_forwarded_ticks < 100
+        clock = fast.trace.series("clock")
+        assert len(clock) == 240
+        # Each probe ran with the device standing at its record instant.
+        assert np.array_equal(clock.values, clock.times)
+        assert np.array_equal(clock.times,
+                              slow.trace.series("clock").times)
+        levels = fast.trace.series("reserve.task0").values
+        ticked = slow.trace.series("reserve.task0").values
+        assert len(set(levels.tolist())) > 50
+        assert np.abs(levels - ticked).max() < 1e-3
 
 
 def feed_reference(meter, watts, dt):
